@@ -9,7 +9,7 @@ use keq_llvm::ast::Module;
 use keq_workload::{generate_corpus, GenConfig};
 
 pub use keq_harness::{
-    build_report, outcome_table, run_module, AttemptRecord, CacheSummary, CorpusResult, CorpusRow,
+    build_report, outcome_table, run_module, AttemptRecord, CorpusResult, CorpusRow,
     CorpusSummary, HarnessOptions, ResultKind, RetryPolicy,
 };
 

@@ -9,7 +9,7 @@ pub mod session_workload;
 
 pub use corpus_run::{
     build_report, outcome_table, run_corpus, run_corpus_cfg, run_corpus_with, run_module,
-    AttemptRecord, CacheSummary, CorpusResult, CorpusRow, CorpusSummary, HarnessOptions,
+    AttemptRecord, CorpusResult, CorpusRow, CorpusSummary, HarnessOptions,
     ResultKind, RetryPolicy,
 };
 pub use keq_workload::GenConfig;

@@ -48,9 +48,7 @@ pub use journal::{
 };
 pub use panic_capture::PanicInfo;
 pub use report::{build_report, outcome_table, pass_sections};
-pub use result::{
-    AttemptRecord, CacheSummary, CorpusResult, CorpusRow, CorpusSummary, ResultKind, ResumeSummary,
-};
+pub use result::{AttemptRecord, CorpusResult, CorpusRow, CorpusSummary, ResultKind};
 pub use run::{run_module, HarnessOptions, RetryPolicy};
 pub use protocol::{
     read_frame, write_frame, ClientRequest, FunctionVerdict, MetricsReport, ServerResponse,
@@ -58,6 +56,6 @@ pub use protocol::{
 };
 pub use scheduler::{
     ClientQuota, Completion, JournalConfig, MetricsConfig, Rejected, Request, Scheduler,
-    SchedulerConfig, SchedulerFinal, ServerCounters, Telemetry,
+    SchedulerConfig, SchedulerFinal, Telemetry,
 };
 pub use server::{connect, ClientConn, Server, ServerOptions, ServerSummary};

@@ -43,6 +43,7 @@
 use std::io::{self, Read, Write};
 
 use keq_trace::json::{self, Json};
+use keq_trace::{CounterTable, RequestCounters, LATENCY_KEYS};
 
 /// Upper bound on one frame's payload (anything larger is treated as a
 /// corrupt or hostile stream, not buffered).
@@ -245,16 +246,9 @@ impl FunctionVerdict {
 /// Live counters returned by the `stats` op.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Submissions accepted since boot.
-    pub requests: u64,
-    /// Submissions finalized since boot.
-    pub completed: u64,
-    /// Backpressure rejections.
-    pub rejected_queue_full: u64,
-    /// Quota rejections.
-    pub rejected_quota: u64,
-    /// Verdicts whose client was gone.
-    pub disconnects: u64,
+    /// Request counters since boot (`rejected_draining` is not on the
+    /// wire; `disconnects` is supervisor-local and reads 0 live).
+    pub counters: RequestCounters,
     /// Accepted-but-unfinalized submissions right now.
     pub depth: u64,
     /// Shared obligation-cache lookups answered.
@@ -273,59 +267,29 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    const FIELDS: [&'static str; 12] = [
-        "requests",
-        "completed",
-        "rejected_queue_full",
-        "rejected_quota",
-        "disconnects",
-        "depth",
-        "cache_hits",
-        "cache_misses",
-        "cache_entries",
-        "p50_us",
-        "p90_us",
-        "p99_us",
-    ];
-
-    fn values(&self) -> [u64; 12] {
-        [
-            self.requests,
-            self.completed,
-            self.rejected_queue_full,
-            self.rejected_quota,
-            self.disconnects,
-            self.depth,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_entries,
-            self.p50_us,
-            self.p90_us,
-            self.p99_us,
-        ]
-    }
+    /// Wire keys of the shared obligation-cache fields (the `metrics` op
+    /// carries them too).
+    const CACHE_KEYS: [&'static str; 3] = ["cache_hits", "cache_misses", "cache_entries"];
 
     fn to_json(self) -> Json {
-        let values = self.values();
-        json::obj(
-            Self::FIELDS.iter().zip(values).map(|(&k, v)| (k, json::num(v))).collect(),
-        )
+        let mut pairs = self.counters.section_json("");
+        pairs.push(("depth", json::num(self.depth)));
+        let cache = [self.cache_hits, self.cache_misses, self.cache_entries];
+        pairs.extend(num_pairs(Self::CACHE_KEYS, cache));
+        pairs.extend(num_pairs(LATENCY_KEYS, [self.p50_us, self.p90_us, self.p99_us]));
+        json::obj(pairs)
     }
 
     fn from_json(doc: &Json) -> Option<StatsSnapshot> {
-        let mut values = [0u64; 12];
-        for (slot, key) in values.iter_mut().zip(Self::FIELDS) {
-            *slot = doc.get(key)?.as_u64()?;
+        let mut counters = RequestCounters::default();
+        if !counters.read_section("", doc) {
+            return None;
         }
-        let [requests, completed, rejected_queue_full, rejected_quota, disconnects, depth, cache_hits, cache_misses, cache_entries, p50_us, p90_us, p99_us] =
-            values;
+        let [cache_hits, cache_misses, cache_entries] = read_nums(doc, Self::CACHE_KEYS)?;
+        let [p50_us, p90_us, p99_us] = read_nums(doc, LATENCY_KEYS)?;
         Some(StatsSnapshot {
-            requests,
-            completed,
-            rejected_queue_full,
-            rejected_quota,
-            disconnects,
-            depth,
+            counters,
+            depth: doc.get("depth")?.as_u64()?,
             cache_hits,
             cache_misses,
             cache_entries,
@@ -334,6 +298,24 @@ impl StatsSnapshot {
             p99_us,
         })
     }
+}
+
+/// `(key, number)` pairs of parallel key and value arrays.
+fn num_pairs<const N: usize>(
+    keys: [&'static str; N],
+    values: [u64; N],
+) -> impl Iterator<Item = (&'static str, Json)> {
+    keys.into_iter().zip(values.map(json::num))
+}
+
+/// The non-negative integers under `keys`; `None` if any is missing or
+/// ill-typed.
+fn read_nums<const N: usize>(doc: &Json, keys: [&str; N]) -> Option<[u64; N]> {
+    let mut out = [0; N];
+    for (slot, key) in out.iter_mut().zip(keys) {
+        *slot = doc.get(key)?.as_u64()?;
+    }
+    Some(out)
 }
 
 /// The full telemetry snapshot returned by the `metrics` op.
@@ -415,22 +397,26 @@ impl Default for MetricsReport {
 }
 
 impl MetricsReport {
+    /// Wire keys of the gauges and request counts ahead of the cache fields.
+    const HEAD_KEYS: [&'static str; 6] =
+        ["uptime_ms", "queue_depth", "workers_busy", "workers_idle", "requests", "completed"];
+
     fn to_json(&self) -> Json {
-        json::obj(vec![
-            ("enabled", Json::Bool(self.enabled)),
-            ("uptime_ms", json::num(self.uptime_ms)),
-            ("queue_depth", json::num(self.queue_depth)),
-            ("workers_busy", json::num(self.workers_busy)),
-            ("workers_idle", json::num(self.workers_idle)),
-            ("requests", json::num(self.requests)),
-            ("completed", json::num(self.completed)),
-            ("cache_hits", json::num(self.cache_hits)),
-            ("cache_misses", json::num(self.cache_misses)),
-            ("cache_entries", json::num(self.cache_entries)),
-            ("rate_per_sec", Json::Num(self.rate_per_sec)),
-            ("p50_us", json::num(self.p50_us)),
-            ("p90_us", json::num(self.p90_us)),
-            ("p99_us", json::num(self.p99_us)),
+        let head = [
+            self.uptime_ms,
+            self.queue_depth,
+            self.workers_busy,
+            self.workers_idle,
+            self.requests,
+            self.completed,
+        ];
+        let cache = [self.cache_hits, self.cache_misses, self.cache_entries];
+        let mut pairs = vec![("enabled", Json::Bool(self.enabled))];
+        pairs.extend(num_pairs(Self::HEAD_KEYS, head));
+        pairs.extend(num_pairs(StatsSnapshot::CACHE_KEYS, cache));
+        pairs.push(("rate_per_sec", Json::Num(self.rate_per_sec)));
+        pairs.extend(num_pairs(LATENCY_KEYS, [self.p50_us, self.p90_us, self.p99_us]));
+        pairs.extend([
             ("samples", json::num(self.samples)),
             (
                 "shard_entries",
@@ -442,27 +428,31 @@ impl MetricsReport {
                 Json::Arr(self.slow.iter().map(keq_trace::SlowObligation::to_json).collect()),
             ),
             ("prometheus", Json::Str(self.prometheus.clone())),
-        ])
+        ]);
+        json::obj(pairs)
     }
 
     fn from_json(doc: &Json) -> Option<MetricsReport> {
-        let num = |k: &str| doc.get(k).and_then(Json::as_u64);
+        let [uptime_ms, queue_depth, workers_busy, workers_idle, requests, completed] =
+            read_nums(doc, Self::HEAD_KEYS)?;
+        let [cache_hits, cache_misses, cache_entries] = read_nums(doc, StatsSnapshot::CACHE_KEYS)?;
+        let [p50_us, p90_us, p99_us] = read_nums(doc, LATENCY_KEYS)?;
         Some(MetricsReport {
             enabled: doc.get("enabled").and_then(Json::as_bool)?,
-            uptime_ms: num("uptime_ms")?,
-            queue_depth: num("queue_depth")?,
-            workers_busy: num("workers_busy")?,
-            workers_idle: num("workers_idle")?,
-            requests: num("requests")?,
-            completed: num("completed")?,
-            cache_hits: num("cache_hits")?,
-            cache_misses: num("cache_misses")?,
-            cache_entries: num("cache_entries")?,
+            uptime_ms,
+            queue_depth,
+            workers_busy,
+            workers_idle,
+            requests,
+            completed,
+            cache_hits,
+            cache_misses,
+            cache_entries,
             rate_per_sec: doc.get("rate_per_sec").and_then(Json::as_f64)?,
-            p50_us: num("p50_us")?,
-            p90_us: num("p90_us")?,
-            p99_us: num("p99_us")?,
-            samples: num("samples")?,
+            p50_us,
+            p90_us,
+            p99_us,
+            samples: doc.get("samples")?.as_u64()?,
             shard_entries: doc
                 .get("shard_entries")?
                 .as_arr()?
@@ -709,11 +699,14 @@ mod tests {
             ServerResponse::RejectedRequest { tag: 5, reason: "queue_full".into() },
             ServerResponse::Error { detail: "parse: bad ir \"x\"".into() },
             ServerResponse::Stats(StatsSnapshot {
-                requests: 10,
-                completed: 8,
-                rejected_queue_full: 1,
-                rejected_quota: 1,
-                disconnects: 0,
+                counters: keq_trace::RequestCounters {
+                    requests: 10,
+                    completed: 8,
+                    rejected_queue_full: 1,
+                    rejected_quota: 1,
+                    rejected_draining: 0,
+                    disconnects: 0,
+                },
                 depth: 2,
                 cache_hits: 30,
                 cache_misses: 12,

@@ -11,8 +11,8 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use keq_trace::{
-    AttemptReport, CacheCounters, Event, FunctionReport, Journal, OutcomeTable, PassSection,
-    Phase, ResumeSection, RunReport, ServerSection, SolverCounters, TraceEvent,
+    AttemptReport, Event, FunctionReport, Journal, OutcomeTable, PassSection, Phase, RunReport,
+    ServerSection, TraceEvent,
 };
 
 use crate::result::{CorpusResult, CorpusSummary, ResultKind};
@@ -61,57 +61,6 @@ fn index_attempts(events: &[TraceEvent]) -> HashMap<(u32, u32), AttemptTrace> {
         }
     }
     map
-}
-
-/// Flattens [`keq_smt::SolverStats`] into the report's stable wire shape.
-/// Shared by the run-level counters here and the per-row solver deltas of
-/// the scheduler's slow-obligation profiler.
-pub(crate) fn solver_counters_of(s: &keq_smt::SolverStats) -> SolverCounters {
-    SolverCounters {
-        queries: s.queries,
-        sat: s.sat,
-        unsat: s.unsat,
-        budget: s.budget,
-        conflicts: s.conflicts,
-        restarts: s.restarts,
-        cache_hits: s.cache_hits,
-        cache_evictions: s.cache_evictions,
-        sessions_opened: s.sessions_opened,
-        prefix_hits: s.prefix_hits,
-        clauses_retained: s.clauses_retained,
-        terms_blasted: s.terms_blasted,
-        terms_blast_reused: s.terms_blast_reused,
-        rewrite_rules_fired: s.rewrite_rules_fired,
-        rewrite_passes: s.rewrite_passes,
-        rewrite_nodes_saved: s.rewrite_nodes_saved,
-        lbd_kept: s.lbd_kept,
-        time_us: duration_us(s.time),
-    }
-}
-
-/// The report's obligation-cache section. Lookup traffic (hits, misses,
-/// stores) comes from the solver's per-attempt deltas, so
-/// `hits + misses == obligations` holds by construction (the invariant
-/// [`keq_trace::validate`] enforces); cache-side bookkeeping and disk
-/// traffic come from the harness's [`CacheSummary`](crate::CacheSummary).
-fn cache_counters(summary: &CorpusSummary) -> CacheCounters {
-    let s = &summary.solver;
-    let c = &summary.cache;
-    CacheCounters {
-        obligations: s.obligation_cache_hits + s.obligation_cache_misses,
-        hits: s.obligation_cache_hits,
-        misses: s.obligation_cache_misses,
-        stores: s.obligation_cache_stores,
-        evictions: c.evictions,
-        entries: c.entries,
-        disk_loaded: c.disk_loaded,
-        disk_rejected: c.disk_rejected,
-        disk_persisted: c.disk_persisted,
-        disk_bytes: c.disk_bytes,
-        flushes: c.flushes,
-        flush_failures: c.flush_failures,
-        degraded: c.degraded,
-    }
 }
 
 /// The Fig. 6 outcome table of a summary, in the shared report type (the
@@ -228,14 +177,9 @@ pub fn build_report(summary: &CorpusSummary, journal: Option<&Journal>, seed: u6
         trace_enabled: journal.is_some(),
         outcome: outcome_table(summary),
         passes: pass_sections(summary),
-        solver: solver_counters_of(&summary.solver),
-        cache: cache_counters(summary),
-        resume: ResumeSection {
-            enabled: summary.resume.enabled,
-            skipped: summary.resume.skipped,
-            recovered: summary.resume.recovered,
-            corrupt: summary.resume.corrupt,
-        },
+        solver: summary.solver,
+        cache: summary.cache,
+        resume: summary.resume,
         server: ServerSection::default(),
         telemetry: summary.telemetry.clone(),
         phases: keq_trace::phase_summaries(&events),

@@ -3,6 +3,7 @@
 use std::time::Duration;
 
 use keq_smt::SolverStats;
+use keq_trace::{CacheCounters, ResumeSection};
 
 /// Result category of one validated function — the paper's Fig. 6 rows
 /// plus [`CorpusResult::Crashed`], the harness's fault-isolation row for
@@ -139,56 +140,6 @@ pub struct CorpusRow {
     pub attempts: Vec<AttemptRecord>,
 }
 
-/// Run-level state of the shared obligation cache: in-memory shape at the
-/// end of the run plus the on-disk warm-start traffic. Hit/miss/store
-/// counts live in [`SolverStats`] (they are attributed per attempt, like
-/// every other solver counter); this records what the solver cannot see —
-/// the cache's own bookkeeping and its persistence round-trip.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheSummary {
-    /// Entries evicted by the byte bound during the run.
-    pub evictions: u64,
-    /// Entries resident when the run finished.
-    pub entries: u64,
-    /// Records accepted from the on-disk store at startup.
-    pub disk_loaded: u64,
-    /// Records rejected at startup (bad checksum, torn tail, unknown
-    /// verdict) — each skipped individually, never fatal.
-    pub disk_rejected: u64,
-    /// Records written back across all flushes of the run (incremental
-    /// batches plus the final shutdown flush).
-    pub disk_persisted: u64,
-    /// Size of the on-disk store after the last successful flush, bytes.
-    pub disk_bytes: u64,
-    /// Successful store flushes.
-    pub flushes: u64,
-    /// Failed flush attempts (each emitted a `StoreError` trace event).
-    pub flush_failures: u64,
-    /// Whether consecutive flush failures tripped the circuit breaker and
-    /// the store degraded to memory-only for the rest of the run.
-    pub degraded: bool,
-    /// Whether the *final* persist failed (or was skipped because the
-    /// breaker had tripped): this run's remaining dirty verdicts never
-    /// reached disk, so the next run starts colder than the summary's
-    /// in-memory counters suggest.
-    pub persist_failed: bool,
-}
-
-/// What resume recovered from the write-ahead verdict journal before the
-/// run scheduled any work.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResumeSummary {
-    /// Whether the run was asked to resume from a journal.
-    pub enabled: bool,
-    /// Functions skipped because a journal record already decided them.
-    pub skipped: u64,
-    /// Valid records recovered from the journal (≥ `skipped`; records for
-    /// functions outside this corpus are recovered but skip nothing).
-    pub recovered: u64,
-    /// Corrupt records skipped fail-soft while loading the journal.
-    pub corrupt: u64,
-}
-
 /// Aggregated per-function rows, ordered by function index.
 #[derive(Debug, Clone, Default)]
 pub struct CorpusSummary {
@@ -199,11 +150,12 @@ pub struct CorpusSummary {
     /// [`SolverStats::merge`]; abandoned workers' stale late results are
     /// excluded, like their rows).
     pub solver: SolverStats,
-    /// Shared obligation-cache state (zeros when the run had no cache).
-    pub cache: CacheSummary,
+    /// Shared obligation-cache bookkeeping and store traffic (zeros when
+    /// the run had no cache; the lookup counts live in `solver`).
+    pub cache: CacheCounters,
     /// Write-ahead journal recovery (all-default when the run had no
     /// journal or was not resuming).
-    pub resume: ResumeSummary,
+    pub resume: ResumeSection,
     /// Live-telemetry summary: collector samples taken and the top-K
     /// slow-obligation table (all-default when metrics were disabled).
     pub telemetry: keq_trace::TelemetrySection,
@@ -407,7 +359,7 @@ mod tests {
         let mut s =
             CorpusSummary { rows: vec![row(0, CorpusResult::Succeeded)], ..Default::default() };
         assert!(!s.summary_line().contains("resume:"), "quiet when not resuming");
-        s.resume = ResumeSummary { enabled: true, skipped: 3, recovered: 4, corrupt: 1 };
+        s.resume = ResumeSection { enabled: true, skipped: 3, recovered: 4, corrupt: 1 };
         s.cache.persist_failed = true;
         let line = s.summary_line();
         assert!(line.contains("resume: skipped 3 recovered 4 corrupt 1"), "{line}");

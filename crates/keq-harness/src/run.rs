@@ -30,7 +30,7 @@ use keq_smt::{Budget, FaultyIo, SharedObligationCache};
 
 use crate::journal::{self, JournalRecord};
 use crate::panic_capture;
-use crate::result::{AttemptRecord, CorpusResult, CorpusRow, CorpusSummary, ResumeSummary};
+use crate::result::{AttemptRecord, CorpusResult, CorpusRow, CorpusSummary};
 use crate::scheduler::{
     ClientQuota, JournalConfig, MetricsConfig, Request, Scheduler, SchedulerConfig,
 };
@@ -278,7 +278,7 @@ pub fn run_module(module: &Module, opts: &HarnessOptions) -> CorpusSummary {
     let func_fps: Vec<u64> =
         module.functions.iter().map(journal::function_fingerprint).collect();
     let corpus_fp = journal::fingerprint_of(&func_fps);
-    let mut resume = ResumeSummary::default();
+    let mut resume = keq_trace::ResumeSection::default();
     let mut recovered: Vec<Option<JournalRecord>> = vec![None; units];
     let mut journal_cfg: Option<JournalConfig> = None;
     if let Some(journal_path) = &opts.journal_path {

@@ -49,11 +49,13 @@ use keq_smt::{CancelToken, SharedObligationCache, SolverStats};
 use keq_trace::metrics::{
     self, Collector, CounterId, GaugeId, HistId, PromKind, PromMetric, PromSample, Registry,
 };
-use keq_trace::{Phase, SlowObligation, TelemetrySection};
+use keq_trace::{
+    CacheCounters, CounterTable, Phase, RequestCounters, SlowObligation, TelemetrySection,
+};
 
 use crate::journal::{JournalRecord, JournalWriter};
 use crate::panic_capture;
-use crate::result::{AttemptRecord, CacheSummary, CorpusResult};
+use crate::result::{AttemptRecord, CorpusResult};
 use crate::run::RetryPolicy;
 
 /// Per-client admission limits, applied by [`Scheduler::submit`].
@@ -431,32 +433,15 @@ pub struct Completion {
     pub wall_us: u64,
 }
 
-/// Request counters of a scheduler's lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerCounters {
-    /// Submissions accepted past the gate.
-    pub requests: u64,
-    /// Submissions finalized with a verdict.
-    pub completed: u64,
-    /// Rejections by queue-depth backpressure.
-    pub rejected_queue_full: u64,
-    /// Rejections by per-client quota.
-    pub rejected_quota: u64,
-    /// Rejections while draining.
-    pub rejected_draining: u64,
-    /// Verdicts whose reply channel was gone (client disconnected).
-    pub disconnects: u64,
-}
-
 /// What [`Scheduler::drain`] returns once every accepted submission
 /// finalized and the store flushed.
 pub struct SchedulerFinal {
     /// Merged solver statistics across every attempt.
     pub solver: SolverStats,
     /// Obligation-cache summary (load + flush + breaker state).
-    pub cache: CacheSummary,
+    pub cache: CacheCounters,
     /// Request counters.
-    pub server: ServerCounters,
+    pub server: RequestCounters,
     /// Submit → finalize latency distribution (µs).
     pub latency: keq_trace::Histogram,
     /// Live-telemetry summary: collector samples and the slow-obligation
@@ -481,12 +466,9 @@ struct StoreFlusher {
     threshold: u32,
     pending: u32,
     consecutive: u32,
-    flushes: u64,
-    flush_failures: u64,
-    degraded: bool,
-    persist_failed: bool,
-    disk_persisted: u64,
-    disk_bytes: u64,
+    /// The flush-side fields of the run's [`CacheCounters`] (flushes,
+    /// failures, breaker state, disk traffic).
+    stats: CacheCounters,
 }
 
 impl StoreFlusher {
@@ -505,12 +487,7 @@ impl StoreFlusher {
             threshold: threshold.max(1),
             pending: 0,
             consecutive: 0,
-            flushes: 0,
-            flush_failures: 0,
-            degraded: false,
-            persist_failed: false,
-            disk_persisted: 0,
-            disk_bytes: 0,
+            stats: CacheCounters::default(),
         }
     }
 
@@ -527,20 +504,20 @@ impl StoreFlusher {
 
     fn flush(&mut self, op: &'static str) {
         self.pending = 0;
-        if self.degraded {
+        if self.stats.degraded {
             return;
         }
         let Some(path) = self.path.clone() else { return };
         match self.shared.persist_with(&path, self.io.as_ref()) {
             Ok(persist) => {
-                self.flushes += 1;
+                self.stats.flushes += 1;
                 self.consecutive = 0;
-                self.disk_persisted += persist.written;
-                self.disk_bytes = persist.file_bytes;
+                self.stats.disk_persisted += persist.written;
+                self.stats.disk_bytes = persist.file_bytes;
                 metrics::counter_add(CounterId::StoreFlushes, 1);
             }
             Err(err) => {
-                self.flush_failures += 1;
+                self.stats.flush_failures += 1;
                 self.consecutive += 1;
                 metrics::counter_add(CounterId::StoreFlushFailures, 1);
                 if keq_trace::enabled() {
@@ -551,7 +528,7 @@ impl StoreFlusher {
                     });
                 }
                 if self.consecutive >= self.threshold {
-                    self.degraded = true;
+                    self.stats.degraded = true;
                     keq_trace::emit(keq_trace::Event::StoreDegraded {
                         target: "store",
                         failures: self.consecutive,
@@ -571,14 +548,14 @@ impl StoreFlusher {
         if self.path.is_none() {
             return;
         }
-        if self.degraded {
-            self.persist_failed = true;
+        if self.stats.degraded {
+            self.stats.persist_failed = true;
             return;
         }
-        let failures_before = self.flush_failures;
+        let failures_before = self.stats.flush_failures;
         self.flush("persist");
-        if self.flush_failures > failures_before {
-            self.persist_failed = true;
+        if self.stats.flush_failures > failures_before {
+            self.stats.persist_failed = true;
         }
     }
 }
@@ -1078,13 +1055,13 @@ impl Scheduler {
     /// scheduler). `completed` and `disconnects` are supervisor-local and
     /// only merged at [`Scheduler::drain`]; they read zero here —
     /// `requests - depth()` gives the finalized count live.
-    pub fn admission(&self) -> ServerCounters {
-        ServerCounters {
+    pub fn admission(&self) -> RequestCounters {
+        RequestCounters {
             requests: self.accepted.load(Ordering::Relaxed),
             rejected_queue_full: self.rejected_queue_full.load(Ordering::Relaxed),
             rejected_quota: self.rejected_quota.load(Ordering::Relaxed),
             rejected_draining: self.rejected_draining.load(Ordering::Relaxed),
-            ..ServerCounters::default()
+            ..RequestCounters::default()
         }
     }
 
@@ -1108,10 +1085,9 @@ impl Scheduler {
             .take()
             .expect("scheduler drained twice");
         let mut fin = handle.join().expect("scheduler supervisor panicked");
-        fin.server.requests = self.accepted.load(Ordering::Relaxed);
-        fin.server.rejected_queue_full = self.rejected_queue_full.load(Ordering::Relaxed);
-        fin.server.rejected_quota = self.rejected_quota.load(Ordering::Relaxed);
-        fin.server.rejected_draining = self.rejected_draining.load(Ordering::Relaxed);
+        // The supervisor counted completions and disconnects; the gate
+        // counted the rest.
+        fin.server.merge(&self.admission());
         fin
     }
 
@@ -1179,8 +1155,8 @@ fn supervise(
     let mut next_job: u64 = 0;
     let mut draining = false;
     let mut solver_total = SolverStats::default();
-    let mut completed: u64 = 0;
-    let mut disconnects: u64 = 0;
+    // Completions and disconnects; the gate counts admissions.
+    let mut finalized = RequestCounters::default();
     let mut latency = keq_trace::Histogram::log_us("request latency (µs)");
     let mut last_sample = Instant::now();
 
@@ -1248,25 +1224,10 @@ fn supervise(
                     if info.attempt > 1 {
                         reg.counter_add(CounterId::Retries, 1);
                     }
-                    reg.counter_add(CounterId::SolverQueries, outcome.solver.queries);
-                    reg.counter_add(CounterId::CdclConflicts, outcome.solver.conflicts);
-                    reg.counter_add(CounterId::CdclRestarts, outcome.solver.restarts);
-                    reg.counter_add(
-                        CounterId::ObligationCacheHits,
-                        outcome.solver.obligation_cache_hits,
-                    );
-                    reg.counter_add(
-                        CounterId::ObligationCacheMisses,
-                        outcome.solver.obligation_cache_misses,
-                    );
-                    reg.counter_add(
-                        CounterId::ObligationCacheStores,
-                        outcome.solver.obligation_cache_stores,
-                    );
-                    // The per-family rewrite counters are emitted at source
-                    // by the rewriter itself; only the glue-retention
-                    // counter needs sampling from the solver deltas here.
-                    reg.counter_add(CounterId::LbdKept, outcome.solver.lbd_kept);
+                    // The solver table's `sampled` rows; its `at_source`
+                    // rows (the rewrite counters) were bumped by the
+                    // rewriter itself.
+                    outcome.solver.add_sampled(reg);
                     reg.observe_us(
                         HistId::AttemptWallUs,
                         u64::try_from(outcome.time.as_micros()).unwrap_or(u64::MAX),
@@ -1329,8 +1290,7 @@ fn supervise(
                         &mut flusher,
                         &gate,
                         &mut latency,
-                        &mut completed,
-                        &mut disconnects,
+                        &mut finalized,
                         config.request_events,
                         &telemetry,
                     );
@@ -1381,8 +1341,7 @@ fn supervise(
                 &mut flusher,
                 &gate,
                 &mut latency,
-                &mut completed,
-                &mut disconnects,
+                &mut finalized,
                 config.request_events,
                 &telemetry,
             );
@@ -1411,7 +1370,7 @@ fn supervise(
             let active =
                 pool.iter().filter(|w| !w.retired.load(Ordering::Acquire)).count() as u64;
             reg.gauge_set(GaugeId::WorkersIdle, active.saturating_sub(busy));
-            let degraded = flusher.degraded
+            let degraded = flusher.stats.degraded
                 || journal_writer.as_ref().is_some_and(|w| w.degraded);
             reg.gauge_set(GaugeId::StoreDegraded, u64::from(degraded));
             let cache = config.shared.stats();
@@ -1455,19 +1414,14 @@ fn supervise(
     }
     SchedulerFinal {
         solver: solver_total,
-        cache: CacheSummary {
+        cache: CacheCounters {
             evictions: cache_stats.evictions,
             entries: cache_stats.entries,
             disk_loaded: config.disk_loaded,
             disk_rejected: config.disk_rejected,
-            disk_persisted: flusher.disk_persisted,
-            disk_bytes: flusher.disk_bytes,
-            flushes: flusher.flushes,
-            flush_failures: flusher.flush_failures,
-            degraded: flusher.degraded,
-            persist_failed: flusher.persist_failed,
+            ..flusher.stats
         },
-        server: ServerCounters { completed, disconnects, ..ServerCounters::default() },
+        server: finalized,
         latency,
         telemetry: telemetry.section(),
     }
@@ -1485,8 +1439,7 @@ fn finalize_submission(
     flusher: &mut StoreFlusher,
     gate: &Mutex<Gate>,
     latency: &mut keq_trace::Histogram,
-    completed: &mut u64,
-    disconnects: &mut u64,
+    finalized: &mut RequestCounters,
     request_events: bool,
     telemetry: &Telemetry,
 ) {
@@ -1499,7 +1452,7 @@ fn finalize_submission(
         .map(|t| u64::try_from((t - st.submitted).as_micros()).unwrap_or(u64::MAX))
         .unwrap_or(wall_us);
     latency.add(wall_us as f64);
-    *completed += 1;
+    finalized.completed += 1;
     telemetry.observe_request(wall_us, latency);
     if telemetry.enabled() {
         let phase_us: Vec<(Phase, u64)> = Phase::ALL
@@ -1521,7 +1474,7 @@ fn finalize_submission(
             attempts: st.attempts.len() as u64,
             retries: (st.attempts.len() as u64).saturating_sub(1),
             phase_us,
-            solver: crate::report::solver_counters_of(&st.solver_acc),
+            solver: st.solver_acc,
         });
     }
     {
@@ -1547,7 +1500,7 @@ fn finalize_submission(
         })
         .is_ok();
     if !delivered {
-        *disconnects += 1;
+        finalized.disconnects += 1;
         if telemetry.enabled() {
             telemetry.registry().counter_add(CounterId::Disconnects, 1);
         }

@@ -36,6 +36,7 @@ use std::time::Duration;
 use keq_llvm::parser::parse_module;
 use keq_smt::obcache::{StdStoreIo, StoreIo};
 use keq_smt::{FaultyIo, SharedObligationCache};
+use keq_trace::RequestCounters;
 
 use crate::journal;
 use crate::protocol::{
@@ -120,13 +121,9 @@ impl ConnCtx {
         let cache = self.shared.stats();
         let (p50_us, p90_us, p99_us) = self.scheduler.telemetry().latency_quantiles_us();
         StatsSnapshot {
-            requests: adm.requests,
             // Finalized = admitted minus still-inflight. `disconnects` is
             // supervisor-local and only merged at drain; it reads 0 live.
-            completed: adm.requests.saturating_sub(depth),
-            rejected_queue_full: adm.rejected_queue_full,
-            rejected_quota: adm.rejected_quota,
-            disconnects: 0,
+            counters: RequestCounters { completed: adm.requests.saturating_sub(depth), ..adm },
             depth,
             cache_hits: cache.hits,
             cache_misses: cache.misses,
@@ -153,8 +150,8 @@ impl ConnCtx {
             queue_depth: stats.depth,
             workers_busy: registry.gauge(keq_trace::GaugeId::WorkersBusy),
             workers_idle: registry.gauge(keq_trace::GaugeId::WorkersIdle),
-            requests: stats.requests,
-            completed: stats.completed,
+            requests: stats.counters.requests,
+            completed: stats.counters.completed,
             cache_hits: stats.cache_hits,
             cache_misses: stats.cache_misses,
             cache_entries: stats.cache_entries,
@@ -655,8 +652,8 @@ mod tests {
         let ServerResponse::Stats(stats) = resp else {
             panic!("expected stats, got {resp:?}");
         };
-        assert_eq!(stats.requests, 3, "three functions admitted");
-        assert_eq!(stats.completed, 3);
+        assert_eq!(stats.counters.requests, 3, "three functions admitted");
+        assert_eq!(stats.counters.completed, 3);
         assert_eq!(stats.depth, 0);
 
         let resp = conn.roundtrip(&ClientRequest::Shutdown).expect("shutdown round trip");

@@ -494,7 +494,7 @@ fn journaling_a_clean_run_leaves_rows_and_counters_unaffected() {
         },
     );
     assert_eq!(kinds(&bare), kinds(&journaled));
-    assert_eq!(journaled.resume, keq_harness::ResumeSummary::default());
+    assert_eq!(journaled.resume, keq_trace::ResumeSection::default());
     assert!(journal_path.exists());
 
     // And the journal on disk decides every function.

@@ -229,7 +229,7 @@ fn tcp_client_vanishing_mid_request_leaves_the_server_serving() {
         else {
             panic!("expected stats");
         };
-        if stats.completed >= 2 && stats.depth == 0 {
+        if stats.counters.completed >= 2 && stats.depth == 0 {
             break;
         }
         std::thread::sleep(Duration::from_millis(10));
@@ -252,7 +252,7 @@ fn tcp_client_vanishing_mid_request_leaves_the_server_serving() {
     else {
         panic!("expected stats");
     };
-    assert_eq!(stats.requests, 4, "both requests' functions were admitted");
+    assert_eq!(stats.counters.requests, 4, "both requests' functions were admitted");
     assert!(
         stats.cache_hits > 0,
         "the revalidation rides the cache the vanished client warmed"

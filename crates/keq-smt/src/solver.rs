@@ -126,131 +126,9 @@ impl std::fmt::Display for Model {
     }
 }
 
-/// Cumulative statistics across queries.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SolverStats {
-    /// Total queries issued.
-    pub queries: u64,
-    /// Queries answered `Sat`.
-    pub sat: u64,
-    /// Queries answered `Unsat`.
-    pub unsat: u64,
-    /// Queries that exhausted a budget.
-    pub budget: u64,
-    /// Total CDCL conflicts.
-    pub conflicts: u64,
-    /// Total CDCL restarts.
-    pub restarts: u64,
-    /// Queries answered from the memo cache.
-    pub cache_hits: u64,
-    /// Entries evicted from the bounded query cache.
-    pub cache_evictions: u64,
-    /// Sessions opened via [`Solver::open_session`].
-    pub sessions_opened: u64,
-    /// Session queries that reused an already-asserted prefix (every
-    /// session query that reached the SAT core without re-lowering or
-    /// re-asserting its prefix).
-    pub prefix_hits: u64,
-    /// Sum over session queries of the learnt clauses already in the
-    /// database when the query started — clause reuse made possible by
-    /// solving under assumptions instead of rebuilding the solver.
-    pub clauses_retained: u64,
-    /// Term nodes translated to CNF (each `blast_node` invocation, in both
-    /// scratch and session modes). The session-vs-scratch ratio of this
-    /// counter is the headline reuse metric.
-    pub terms_blasted: u64,
-    /// Term nodes whose CNF translation was served from a blast memo
-    /// (shared-subterm hits, within and across queries).
-    pub terms_blast_reused: u64,
-    /// Queries discharged by the shared obligation cache (canonical
-    /// fingerprint matched a verdict proven by another function or run).
-    pub obligation_cache_hits: u64,
-    /// Queries that consulted the shared obligation cache and missed.
-    pub obligation_cache_misses: u64,
-    /// Verdicts this solver recorded into the shared obligation cache.
-    pub obligation_cache_stores: u64,
-    /// Rewrite rules fired by obligation normalization (all families).
-    pub rewrite_rules_fired: u64,
-    /// Normalization passes run over obligation roots.
-    pub rewrite_passes: u64,
-    /// Term-DAG nodes eliminated by obligation normalization.
-    pub rewrite_nodes_saved: u64,
-    /// Learnt clauses exempted from CDCL database reduction because their
-    /// literal-block distance was glue-level (LBD ≤ 2).
-    pub lbd_kept: u64,
-    /// Total wall-clock time in the solver.
-    pub time: Duration,
-}
-
-impl SolverStats {
-    /// Field-wise accumulation `self + other`, for merging the per-run
-    /// deltas of many corpus functions into one run-level total.
-    pub fn merge(&mut self, other: &SolverStats) {
-        self.queries += other.queries;
-        self.sat += other.sat;
-        self.unsat += other.unsat;
-        self.budget += other.budget;
-        self.conflicts += other.conflicts;
-        self.restarts += other.restarts;
-        self.cache_hits += other.cache_hits;
-        self.cache_evictions += other.cache_evictions;
-        self.sessions_opened += other.sessions_opened;
-        self.prefix_hits += other.prefix_hits;
-        self.clauses_retained += other.clauses_retained;
-        self.terms_blasted += other.terms_blasted;
-        self.terms_blast_reused += other.terms_blast_reused;
-        self.obligation_cache_hits += other.obligation_cache_hits;
-        self.obligation_cache_misses += other.obligation_cache_misses;
-        self.obligation_cache_stores += other.obligation_cache_stores;
-        self.rewrite_rules_fired += other.rewrite_rules_fired;
-        self.rewrite_passes += other.rewrite_passes;
-        self.rewrite_nodes_saved += other.rewrite_nodes_saved;
-        self.lbd_kept += other.lbd_kept;
-        self.time += other.time;
-    }
-
-    /// Field-wise difference `self - earlier`, for reporting the cost of a
-    /// single run when the underlying solver is reused (warm-started)
-    /// across runs. Saturates at zero so a mismatched pair cannot panic.
-    #[must_use]
-    pub fn since(&self, earlier: &SolverStats) -> SolverStats {
-        SolverStats {
-            queries: self.queries.saturating_sub(earlier.queries),
-            sat: self.sat.saturating_sub(earlier.sat),
-            unsat: self.unsat.saturating_sub(earlier.unsat),
-            budget: self.budget.saturating_sub(earlier.budget),
-            conflicts: self.conflicts.saturating_sub(earlier.conflicts),
-            restarts: self.restarts.saturating_sub(earlier.restarts),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            cache_evictions: self.cache_evictions.saturating_sub(earlier.cache_evictions),
-            sessions_opened: self.sessions_opened.saturating_sub(earlier.sessions_opened),
-            prefix_hits: self.prefix_hits.saturating_sub(earlier.prefix_hits),
-            clauses_retained: self.clauses_retained.saturating_sub(earlier.clauses_retained),
-            terms_blasted: self.terms_blasted.saturating_sub(earlier.terms_blasted),
-            terms_blast_reused: self
-                .terms_blast_reused
-                .saturating_sub(earlier.terms_blast_reused),
-            obligation_cache_hits: self
-                .obligation_cache_hits
-                .saturating_sub(earlier.obligation_cache_hits),
-            obligation_cache_misses: self
-                .obligation_cache_misses
-                .saturating_sub(earlier.obligation_cache_misses),
-            obligation_cache_stores: self
-                .obligation_cache_stores
-                .saturating_sub(earlier.obligation_cache_stores),
-            rewrite_rules_fired: self
-                .rewrite_rules_fired
-                .saturating_sub(earlier.rewrite_rules_fired),
-            rewrite_passes: self.rewrite_passes.saturating_sub(earlier.rewrite_passes),
-            rewrite_nodes_saved: self
-                .rewrite_nodes_saved
-                .saturating_sub(earlier.rewrite_nodes_saved),
-            lbd_kept: self.lbd_kept.saturating_sub(earlier.lbd_kept),
-            time: self.time.checked_sub(earlier.time).unwrap_or_default(),
-        }
-    }
-}
+/// Cumulative statistics across queries, declared once as a counter table
+/// in `keq-trace` (which also derives its report, wire, and metrics forms).
+pub use keq_trace::SolverStats;
 
 /// Cache key for a closed query: the session prefix (empty for scratch
 /// queries) plus the query's own delta, both sorted and deduplicated.

@@ -25,6 +25,7 @@
 //! a [`with_attempt`] context, so every event lands stamped with the
 //! `(function, attempt)` it belongs to.
 
+pub mod counters;
 pub mod event;
 pub mod histogram;
 pub mod journal;
@@ -33,6 +34,7 @@ pub mod metrics;
 pub mod recorder;
 pub mod report;
 
+pub use counters::{CounterTable, Feed, RequestCounters, SolverStats};
 pub use event::{Event, Phase, TraceEvent};
 pub use histogram::Histogram;
 pub use journal::{Journal, JsonlSink, DEFAULT_JOURNAL_CAPACITY};
@@ -48,5 +50,5 @@ pub use recorder::{
 pub use report::{
     check_phase_coverage, phase_summaries, validate, AttemptReport, CacheCounters, FunctionReport,
     OutcomeTable, PassSection, PhaseSummary, ResumeSection, RunReport, ServerSection,
-    SlowObligation, SolverCounters, TelemetrySection, Violation, REPORT_SCHEMA,
+    SlowObligation, TelemetrySection, Violation, LATENCY_KEYS, REPORT_SCHEMA,
 };

@@ -13,6 +13,7 @@
 //! phase spans of each fully-observed function must sum to (almost) its
 //! recorded wall time, or the instrumentation has a blind spot.
 
+use crate::counters::{counter_table, CounterTable, RequestCounters, SolverStats};
 use crate::event::{Event, Phase, TraceEvent};
 use crate::histogram::Histogram;
 use crate::json::{self, Json};
@@ -37,47 +38,46 @@ use crate::json::{self, Json};
 /// separately.
 pub const REPORT_SCHEMA: &str = "keq-run-report/v7";
 
-/// The Fig. 6 outcome table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OutcomeTable {
-    /// Validated (equivalent or refines).
-    pub succeeded: u64,
-    /// Timeout-class resource exhaustion.
-    pub timeout: u64,
-    /// Memory-class resource exhaustion.
-    pub out_of_memory: u64,
-    /// Isolated panics.
-    pub crashed: u64,
-    /// Still crashing after exhausting every retry attempt.
-    pub quarantined: u64,
-    /// Everything else.
-    pub other: u64,
-    /// Total functions.
-    pub total: u64,
-    /// Total attempts across all functions (≥ total when retries fired).
-    pub attempts: u64,
+counter_table! {
+    /// The Fig. 6 outcome table.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct OutcomeTable {
+        /// Validated (equivalent or refines).
+        succeeded: u64 => "succeeded";
+        /// Timeout-class resource exhaustion.
+        timeout: u64 => "timeout";
+        /// Memory-class resource exhaustion.
+        out_of_memory: u64 => "out_of_memory";
+        /// Isolated panics.
+        crashed: u64 => "crashed";
+        /// Still crashing after exhausting every retry attempt.
+        quarantined: u64 => "quarantined";
+        /// Everything else.
+        other: u64 => "other";
+        /// Total functions.
+        total: u64 => "total";
+        /// Total attempts across all functions (≥ total when retries fired).
+        attempts: u64 => "attempts";
+    }
 }
 
 impl OutcomeTable {
-    fn to_json(self) -> Json {
-        json::obj(vec![
-            ("succeeded", json::num(self.succeeded)),
-            ("timeout", json::num(self.timeout)),
-            ("out_of_memory", json::num(self.out_of_memory)),
-            ("crashed", json::num(self.crashed)),
-            ("quarantined", json::num(self.quarantined)),
-            ("other", json::num(self.other)),
-            ("total", json::num(self.total)),
-            ("attempts", json::num(self.attempts)),
-        ])
-    }
-
     /// Serializes the table as one compact JSON object (the form the bench
     /// targets embed).
     pub fn to_json_string(self) -> String {
         let mut s = String::new();
         self.to_json().write_compact(&mut s);
         s
+    }
+
+    /// The sum of the outcome categories (everything but the totals).
+    fn categories(self) -> u64 {
+        self.succeeded
+            + self.timeout
+            + self.out_of_memory
+            + self.crashed
+            + self.quarantined
+            + self.other
     }
 }
 
@@ -101,217 +101,69 @@ impl PassSection {
     }
 }
 
-/// The merged solver counters of a run (`SolverStats`, flattened to stable
-/// wire names).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolverCounters {
-    /// Total queries issued.
-    pub queries: u64,
-    /// Queries answered `Sat`.
-    pub sat: u64,
-    /// Queries answered `Unsat`.
-    pub unsat: u64,
-    /// Queries that exhausted a budget.
-    pub budget: u64,
-    /// Total CDCL conflicts.
-    pub conflicts: u64,
-    /// Total CDCL restarts.
-    pub restarts: u64,
-    /// Queries answered from the memo cache.
-    pub cache_hits: u64,
-    /// Entries evicted from the bounded query cache.
-    pub cache_evictions: u64,
-    /// Incremental sessions opened.
-    pub sessions_opened: u64,
-    /// Session queries that reused an asserted prefix.
-    pub prefix_hits: u64,
-    /// Learnt clauses retained across session queries.
-    pub clauses_retained: u64,
-    /// Term nodes bit-blasted.
-    pub terms_blasted: u64,
-    /// Term nodes served from a blast memo.
-    pub terms_blast_reused: u64,
-    /// Rewrite rules fired by obligation normalization.
-    pub rewrite_rules_fired: u64,
-    /// Normalization passes over obligation roots.
-    pub rewrite_passes: u64,
-    /// Term-DAG nodes eliminated by obligation normalization.
-    pub rewrite_nodes_saved: u64,
-    /// Glue clauses (LBD ≤ 2) exempted from CDCL database reduction.
-    pub lbd_kept: u64,
-    /// Total solver wall-clock, µs.
-    pub time_us: u64,
-}
-
-impl SolverCounters {
-    const FIELDS: [&'static str; 18] = [
-        "queries",
-        "sat",
-        "unsat",
-        "budget",
-        "conflicts",
-        "restarts",
-        "cache_hits",
-        "cache_evictions",
-        "sessions_opened",
-        "prefix_hits",
-        "clauses_retained",
-        "terms_blasted",
-        "terms_blast_reused",
-        "rewrite_rules_fired",
-        "rewrite_passes",
-        "rewrite_nodes_saved",
-        "lbd_kept",
-        "time_us",
-    ];
-
-    /// Serializes to the stable wire shape (shared by `RUN_REPORT.json`
-    /// and the server protocol's slow-obligation rows).
-    pub fn to_json(self) -> Json {
-        json::obj(vec![
-            ("queries", json::num(self.queries)),
-            ("sat", json::num(self.sat)),
-            ("unsat", json::num(self.unsat)),
-            ("budget", json::num(self.budget)),
-            ("conflicts", json::num(self.conflicts)),
-            ("restarts", json::num(self.restarts)),
-            ("cache_hits", json::num(self.cache_hits)),
-            ("cache_evictions", json::num(self.cache_evictions)),
-            ("sessions_opened", json::num(self.sessions_opened)),
-            ("prefix_hits", json::num(self.prefix_hits)),
-            ("clauses_retained", json::num(self.clauses_retained)),
-            ("terms_blasted", json::num(self.terms_blasted)),
-            ("terms_blast_reused", json::num(self.terms_blast_reused)),
-            ("rewrite_rules_fired", json::num(self.rewrite_rules_fired)),
-            ("rewrite_passes", json::num(self.rewrite_passes)),
-            ("rewrite_nodes_saved", json::num(self.rewrite_nodes_saved)),
-            ("lbd_kept", json::num(self.lbd_kept)),
-            ("time_us", json::num(self.time_us)),
-        ])
-    }
-
-    /// Parses the [`SolverCounters::to_json`] shape. Missing fields read
-    /// zero (forward compatibility on the wire); a non-object is `None`.
-    pub fn from_json(doc: &Json) -> Option<SolverCounters> {
-        let Json::Obj(_) = doc else { return None };
-        let f = |k: &str| doc.get(k).and_then(Json::as_u64).unwrap_or(0);
-        Some(SolverCounters {
-            queries: f("queries"),
-            sat: f("sat"),
-            unsat: f("unsat"),
-            budget: f("budget"),
-            conflicts: f("conflicts"),
-            restarts: f("restarts"),
-            cache_hits: f("cache_hits"),
-            cache_evictions: f("cache_evictions"),
-            sessions_opened: f("sessions_opened"),
-            prefix_hits: f("prefix_hits"),
-            clauses_retained: f("clauses_retained"),
-            terms_blasted: f("terms_blasted"),
-            terms_blast_reused: f("terms_blast_reused"),
-            rewrite_rules_fired: f("rewrite_rules_fired"),
-            rewrite_passes: f("rewrite_passes"),
-            rewrite_nodes_saved: f("rewrite_nodes_saved"),
-            lbd_kept: f("lbd_kept"),
-            time_us: f("time_us"),
-        })
+counter_table! {
+    /// The shared obligation cache's own side of the run (`cache.*` in the
+    /// v2 schema): in-memory shape at the end of the run plus the on-disk
+    /// warm-start traffic. The section's lookup counts (`hits`, `misses`,
+    /// `stores`) are [`SolverStats`] fields, attributed per attempt like
+    /// every other solver counter; `obligations` is their hits + misses.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CacheCounters {
+        /// Entries evicted by the byte bound during the run.
+        evictions: u64 => "evictions";
+        /// Entries resident when the run finished.
+        entries: u64 => "entries";
+        /// Records accepted from the on-disk store at startup.
+        disk_loaded: u64 => "disk_loaded";
+        /// Records rejected at startup (bad checksum, torn tail, stale
+        /// revision, unknown verdict) — each skipped individually, never
+        /// fatal.
+        disk_rejected: u64 => "disk_rejected";
+        /// Records written back across all flushes of the run (incremental
+        /// batches plus the final shutdown flush).
+        disk_persisted: u64 => "disk_persisted";
+        /// Size of the on-disk store after the last successful flush, bytes
+        /// (0 when not persisting).
+        disk_bytes: u64 => "disk_bytes";
+        /// Successful store flushes (including the final one).
+        flushes: u64 => "flushes";
+        /// Failed flush attempts (each emitted a `StoreError` trace event).
+        flush_failures: u64 => "flush_failures";
+        /// Whether consecutive flush failures tripped the circuit breaker and
+        /// the store degraded to memory-only for the rest of the run.
+        degraded: bool => "degraded";
+        /// Whether the *final* persist failed (or was skipped because the
+        /// breaker had tripped): this run's remaining dirty verdicts never
+        /// reached disk, so the next run starts colder than the in-memory
+        /// counters suggest. Reported by the summary line, not the schema.
+        persist_failed: bool => _;
     }
 }
 
-/// The shared obligation-cache counters of a run (`cache.*` in the v2
-/// schema): canonical-fingerprint lookups, verdict reuse, and the on-disk
-/// store traffic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCounters {
-    /// Obligations fingerprinted and looked up (must equal hits + misses).
-    pub obligations: u64,
-    /// Lookups answered by the shared cache.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Verdicts recorded into the shared cache.
-    pub stores: u64,
-    /// Entries evicted by the byte bound.
-    pub evictions: u64,
-    /// Live entries at end of run.
-    pub entries: u64,
-    /// Records accepted from the persisted store at startup.
-    pub disk_loaded: u64,
-    /// Records rejected while loading (corruption, stale revision).
-    pub disk_rejected: u64,
-    /// Records written across all flushes of the run.
-    pub disk_persisted: u64,
-    /// Size of the persisted store after the run, bytes (0 when not
-    /// persisting).
-    pub disk_bytes: u64,
-    /// Successful incremental store flushes (including the final one).
-    pub flushes: u64,
-    /// Failed flush attempts (each also emitted a `StoreError` event).
-    pub flush_failures: u64,
-    /// Whether the store circuit breaker tripped: the run finished
-    /// memory-only and the final state was not persisted.
-    pub degraded: bool,
-}
-
-impl CacheCounters {
-    const FIELDS: [&'static str; 12] = [
-        "obligations",
-        "hits",
-        "misses",
-        "stores",
-        "evictions",
-        "entries",
-        "disk_loaded",
-        "disk_rejected",
-        "disk_persisted",
-        "disk_bytes",
-        "flushes",
-        "flush_failures",
-    ];
-
-    fn to_json(self) -> Json {
-        json::obj(vec![
-            ("obligations", json::num(self.obligations)),
-            ("hits", json::num(self.hits)),
-            ("misses", json::num(self.misses)),
-            ("stores", json::num(self.stores)),
-            ("evictions", json::num(self.evictions)),
-            ("entries", json::num(self.entries)),
-            ("disk_loaded", json::num(self.disk_loaded)),
-            ("disk_rejected", json::num(self.disk_rejected)),
-            ("disk_persisted", json::num(self.disk_persisted)),
-            ("disk_bytes", json::num(self.disk_bytes)),
-            ("flushes", json::num(self.flushes)),
-            ("flush_failures", json::num(self.flush_failures)),
-            ("degraded", Json::Bool(self.degraded)),
-        ])
+counter_table! {
+    /// The journal-recovery section of the v3 schema: what resume recovered
+    /// from the write-ahead verdict journal before scheduling any work.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ResumeSection {
+        /// Whether this run resumed from a journal.
+        enabled: bool => "enabled";
+        /// Functions skipped because a journal record decided them.
+        skipped: u64 => "skipped";
+        /// Valid records recovered from the journal (≥ `skipped`; records
+        /// for functions outside this corpus are recovered but skip
+        /// nothing).
+        recovered: u64 => "recovered";
+        /// Corrupt records skipped fail-soft while loading the journal.
+        corrupt: u64 => "corrupt";
     }
 }
 
-/// The journal-recovery section of the v3 schema: what resume recovered
-/// from the write-ahead verdict journal before scheduling any work.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResumeSection {
-    /// Whether this run resumed from a journal.
-    pub enabled: bool,
-    /// Functions skipped because a journal record decided them.
-    pub skipped: u64,
-    /// Valid records recovered from the journal.
-    pub recovered: u64,
-    /// Corrupt records skipped fail-soft while loading the journal.
-    pub corrupt: u64,
-}
+/// Wire key of the cache section's lookup total (hits + misses).
+const OBLIGATIONS: &str = "obligations";
 
-impl ResumeSection {
-    fn to_json(self) -> Json {
-        json::obj(vec![
-            ("enabled", Json::Bool(self.enabled)),
-            ("skipped", json::num(self.skipped)),
-            ("recovered", json::num(self.recovered)),
-            ("corrupt", json::num(self.corrupt)),
-        ])
-    }
-}
+/// Wire keys of the request-latency quantiles (p50, p90, p99, µs), shared
+/// by the report's `server` section and the `stats` and `metrics` wire ops.
+pub const LATENCY_KEYS: [&str; 3] = ["p50_us", "p90_us", "p99_us"];
 
 /// The request-serving section of the v4 schema: how the long-lived
 /// `keq-server` front end fared. Batch runs carry the all-zero default
@@ -320,16 +172,8 @@ impl ResumeSection {
 pub struct ServerSection {
     /// Whether this report came from a server run.
     pub enabled: bool,
-    /// Validation requests accepted into the scheduler.
-    pub requests: u64,
-    /// Requests that ran to a final verdict.
-    pub completed: u64,
-    /// Requests bounced by queue-depth backpressure.
-    pub rejected_queue_full: u64,
-    /// Requests bounced by a per-client inflight quota.
-    pub rejected_quota: u64,
-    /// Requests whose client disconnected before the verdict was delivered.
-    pub disconnects: u64,
+    /// Request counters (`rejected_draining` is not part of the schema).
+    pub counters: RequestCounters,
     /// Median request latency (submit → verdict), µs.
     pub p50_us: u64,
     /// 90th-percentile request latency, µs.
@@ -339,29 +183,12 @@ pub struct ServerSection {
 }
 
 impl ServerSection {
-    const FIELDS: [&'static str; 8] = [
-        "requests",
-        "completed",
-        "rejected_queue_full",
-        "rejected_quota",
-        "disconnects",
-        "p50_us",
-        "p90_us",
-        "p99_us",
-    ];
-
     fn to_json(self) -> Json {
-        json::obj(vec![
-            ("enabled", Json::Bool(self.enabled)),
-            ("requests", json::num(self.requests)),
-            ("completed", json::num(self.completed)),
-            ("rejected_queue_full", json::num(self.rejected_queue_full)),
-            ("rejected_quota", json::num(self.rejected_quota)),
-            ("disconnects", json::num(self.disconnects)),
-            ("p50_us", json::num(self.p50_us)),
-            ("p90_us", json::num(self.p90_us)),
-            ("p99_us", json::num(self.p99_us)),
-        ])
+        let mut pairs = vec![("enabled", Json::Bool(self.enabled))];
+        pairs.extend(self.counters.section_json(""));
+        let latency = [self.p50_us, self.p90_us, self.p99_us];
+        pairs.extend(LATENCY_KEYS.into_iter().zip(latency.map(json::num)));
+        json::obj(pairs)
     }
 }
 
@@ -388,8 +215,9 @@ pub struct SlowObligation {
     /// Summed span time per phase across attempts, µs (pipeline order;
     /// phases with no spans omitted).
     pub phase_us: Vec<(Phase, u64)>,
-    /// Solver counters accrued by this obligation alone.
-    pub solver: SolverCounters,
+    /// Solver counters accrued by this obligation alone (its `solver`
+    /// section; the obligation-cache lookups are not part of a row).
+    pub solver: SolverStats,
 }
 
 impl SlowObligation {
@@ -442,7 +270,7 @@ impl SlowObligation {
             attempts: num("attempts"),
             retries: num("retries"),
             phase_us,
-            solver: doc.get("solver").and_then(SolverCounters::from_json).unwrap_or_default(),
+            solver: doc.get("solver").and_then(SolverStats::from_json).unwrap_or_default(),
         })
     }
 }
@@ -615,9 +443,10 @@ pub struct RunReport {
     pub outcome: OutcomeTable,
     /// Per-pass outcome tables, in validation order.
     pub passes: Vec<PassSection>,
-    /// Merged solver counters.
-    pub solver: SolverCounters,
-    /// Shared obligation-cache counters.
+    /// Merged solver counters (their obligation-cache lookups are written
+    /// to the `cache` section).
+    pub solver: SolverStats,
+    /// Shared obligation-cache bookkeeping and store traffic.
     pub cache: CacheCounters,
     /// Write-ahead journal recovery.
     pub resume: ResumeSection,
@@ -648,7 +477,7 @@ impl RunReport {
             ("outcome", self.outcome.to_json()),
             ("passes", Json::Arr(self.passes.iter().map(PassSection::to_json).collect())),
             ("solver", self.solver.to_json()),
-            ("cache", self.cache.to_json()),
+            ("cache", self.cache_json()),
             ("resume", self.resume.to_json()),
             ("server", self.server.to_json()),
             ("telemetry", self.telemetry.to_json()),
@@ -663,6 +492,17 @@ impl RunReport {
         let mut out = String::new();
         doc.write_pretty(&mut out);
         out
+    }
+
+    /// The `cache` section: the lookup total, the solver's lookup
+    /// counters, then the cache's own bookkeeping.
+    fn cache_json(&self) -> Json {
+        let s = &self.solver;
+        let mut pairs =
+            vec![(OBLIGATIONS, json::num(s.obligation_cache_hits + s.obligation_cache_misses))];
+        pairs.extend(s.section_json("cache"));
+        pairs.extend(self.cache.section_json(""));
+        json::obj(pairs)
     }
 }
 
@@ -696,7 +536,12 @@ pub fn phase_summaries(events: &[TraceEvent]) -> Vec<PhaseSummary> {
 /// A schema violation found by [`validate`].
 pub type Violation = String;
 
-fn require<'a>(doc: &'a Json, path: &str, key: &str, out: &mut Vec<Violation>) -> Option<&'a Json> {
+pub(crate) fn require<'a>(
+    doc: &'a Json,
+    path: &str,
+    key: &str,
+    out: &mut Vec<Violation>,
+) -> Option<&'a Json> {
     let v = doc.get(key);
     if v.is_none() {
         out.push(format!("{path}: missing key \"{key}\""));
@@ -727,7 +572,8 @@ fn require_str<'a>(
     s
 }
 
-/// Validates a parsed `RUN_REPORT.json` document against the v1 schema:
+/// Validates a parsed `RUN_REPORT.json` document against the current
+/// schema ([`REPORT_SCHEMA`]):
 /// every required key present and well-typed, the outcome table internally
 /// consistent, and span timestamps monotonic (attempt windows ordered and
 /// non-inverted within every function).
@@ -748,9 +594,8 @@ pub fn validate(doc: &Json) -> Result<(), Vec<Violation>> {
     require_u64(doc, "$", "events_recorded", &mut v);
     require_u64(doc, "$", "events_dropped", &mut v);
 
-    if let Some(outcome) = require(doc, "$", "outcome", &mut v) {
-        validate_outcome_table(outcome, "$.outcome", &mut v);
-    }
+    let merged = require(doc, "$", "outcome", &mut v)
+        .and_then(|outcome| validate_outcome_table(outcome, "$.outcome", &mut v));
 
     if let Some(passes) = require(doc, "$", "passes", &mut v) {
         match passes.as_arr() {
@@ -761,15 +606,13 @@ pub fn validate(doc: &Json) -> Result<(), Vec<Violation>> {
                     let path = format!("$.passes[{i}]");
                     require_str(p, &path, "pass", &mut v);
                     if let Some(outcome) = require(p, &path, "outcome", &mut v) {
-                        validate_outcome_table(outcome, &format!("{path}.outcome"), &mut v);
-                        pass_total +=
-                            outcome.get("total").and_then(Json::as_u64).unwrap_or(0);
+                        let path = format!("{path}.outcome");
+                        pass_total += validate_outcome_table(outcome, &path, &mut v)
+                            .map_or(0, |t| t.total);
                     }
                 }
                 // Per-pass tables must partition the merged one.
-                if let Some(t) =
-                    doc.get("outcome").and_then(|o| o.get("total")).and_then(Json::as_u64)
-                {
+                if let Some(t) = merged.map(|m| m.total) {
                     if !items.is_empty() && pass_total != t {
                         v.push(format!(
                             "$.passes: per-pass totals sum to {pass_total} but \
@@ -782,24 +625,17 @@ pub fn validate(doc: &Json) -> Result<(), Vec<Violation>> {
     }
 
     if let Some(solver) = require(doc, "$", "solver", &mut v) {
-        for key in SolverCounters::FIELDS {
-            require_u64(solver, "$.solver", key, &mut v);
-        }
+        SolverStats::check_section(solver, "$.solver", "", &mut v);
     }
 
     if let Some(cache) = require(doc, "$", "cache", &mut v) {
-        for key in CacheCounters::FIELDS {
-            require_u64(cache, "$.cache", key, &mut v);
-        }
-        if require(cache, "$.cache", "degraded", &mut v)
-            .is_some_and(|d| d.as_bool().is_none())
-        {
-            v.push("$.cache.degraded: expected a boolean".into());
-        }
-        let hits = cache.get("hits").and_then(Json::as_u64);
-        let misses = cache.get("misses").and_then(Json::as_u64);
-        let obligations = cache.get("obligations").and_then(Json::as_u64);
-        if let (Some(h), Some(m), Some(o)) = (hits, misses, obligations) {
+        let obligations = require_u64(cache, "$.cache", OBLIGATIONS, &mut v);
+        let mut lookups = SolverStats::default();
+        let lookups_ok = SolverStats::check_section(cache, "$.cache", "cache", &mut v)
+            && lookups.read_section("cache", cache);
+        CacheCounters::check_section(cache, "$.cache", "", &mut v);
+        if let (true, Some(o)) = (lookups_ok, obligations) {
+            let (h, m) = (lookups.obligation_cache_hits, lookups.obligation_cache_misses);
             if h + m != o {
                 v.push(format!(
                     "$.cache: hits ({h}) + misses ({m}) disagree with obligations ({o})"
@@ -840,14 +676,7 @@ pub fn validate(doc: &Json) -> Result<(), Vec<Violation>> {
     }
 
     if let Some(resume) = require(doc, "$", "resume", &mut v) {
-        if require(resume, "$.resume", "enabled", &mut v)
-            .is_some_and(|d| d.as_bool().is_none())
-        {
-            v.push("$.resume.enabled: expected a boolean".into());
-        }
-        for key in ["skipped", "recovered", "corrupt"] {
-            require_u64(resume, "$.resume", key, &mut v);
-        }
+        ResumeSection::check_section(resume, "$.resume", "", &mut v);
     }
 
     if let Some(server) = require(doc, "$", "server", &mut v) {
@@ -856,17 +685,18 @@ pub fn validate(doc: &Json) -> Result<(), Vec<Violation>> {
         {
             v.push("$.server.enabled: expected a boolean".into());
         }
-        for key in ServerSection::FIELDS {
-            require_u64(server, "$.server", key, &mut v);
+        let mut counters = RequestCounters::default();
+        if RequestCounters::check_section(server, "$.server", "", &mut v)
+            && counters.read_section("", server)
+            && counters.completed > counters.requests
+        {
+            v.push(format!(
+                "$.server: completed ({}) exceeds accepted requests ({})",
+                counters.completed, counters.requests
+            ));
         }
-        let requests = server.get("requests").and_then(Json::as_u64);
-        let completed = server.get("completed").and_then(Json::as_u64);
-        if let (Some(r), Some(c)) = (requests, completed) {
-            if c > r {
-                v.push(format!(
-                    "$.server: completed ({c}) exceeds accepted requests ({r})"
-                ));
-            }
+        for key in LATENCY_KEYS {
+            require_u64(server, "$.server", key, &mut v);
         }
     }
 
@@ -891,9 +721,7 @@ pub fn validate(doc: &Json) -> Result<(), Vec<Violation>> {
                     require_u64(row, &path, "retries", &mut v);
                     require(row, &path, "phase_us", &mut v);
                     if let Some(solver) = require(row, &path, "solver", &mut v) {
-                        for key in SolverCounters::FIELDS {
-                            require_u64(solver, &format!("{path}.solver"), key, &mut v);
-                        }
+                        SolverStats::check_section(solver, &format!("{path}.solver"), "", &mut v);
                     }
                     if let Some(w) = wall {
                         if w > prev_wall {
@@ -927,18 +755,20 @@ pub fn validate(doc: &Json) -> Result<(), Vec<Violation>> {
     }
 }
 
-fn validate_outcome_table(outcome: &Json, path: &str, v: &mut Vec<Violation>) {
-    let mut parts = 0u64;
-    for key in ["succeeded", "timeout", "out_of_memory", "crashed", "quarantined", "other"] {
-        parts += require_u64(outcome, path, key, v).unwrap_or(0);
+/// Checks one outcome table; returns it when it is well-formed.
+fn validate_outcome_table(
+    outcome: &Json,
+    path: &str,
+    v: &mut Vec<Violation>,
+) -> Option<OutcomeTable> {
+    let mut t = OutcomeTable::default();
+    if !(OutcomeTable::check_section(outcome, path, "", v) && t.read_section("", outcome)) {
+        return None;
     }
-    let total = require_u64(outcome, path, "total", v);
-    require_u64(outcome, path, "attempts", v);
-    if let Some(t) = total {
-        if t != parts {
-            v.push(format!("{path}: categories sum to {parts} but total is {t}"));
-        }
+    if t.total != t.categories() {
+        v.push(format!("{path}: categories sum to {} but total is {}", t.categories(), t.total));
     }
+    Some(t)
 }
 
 fn validate_function(f: &Json, i: usize, v: &mut Vec<Violation>) {
@@ -1058,6 +888,7 @@ pub fn check_phase_coverage(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     /// A small but fully-populated report used across the tests.
     pub(crate) fn sample_report() -> RunReport {
@@ -1088,7 +919,7 @@ mod tests {
                     ..OutcomeTable::default()
                 },
             }],
-            solver: SolverCounters {
+            solver: SolverStats {
                 queries: 40,
                 sat: 22,
                 unsat: 17,
@@ -1102,17 +933,16 @@ mod tests {
                 clauses_retained: 55,
                 terms_blasted: 1000,
                 terms_blast_reused: 400,
+                obligation_cache_hits: 9,
+                obligation_cache_misses: 25,
+                obligation_cache_stores: 14,
                 rewrite_rules_fired: 120,
                 rewrite_passes: 48,
                 rewrite_nodes_saved: 310,
                 lbd_kept: 11,
-                time_us: 80_120,
+                time: Duration::from_micros(80_120),
             },
             cache: CacheCounters {
-                obligations: 34,
-                hits: 9,
-                misses: 25,
-                stores: 14,
                 evictions: 1,
                 entries: 13,
                 disk_loaded: 5,
@@ -1122,15 +952,19 @@ mod tests {
                 flushes: 2,
                 flush_failures: 0,
                 degraded: false,
+                persist_failed: false,
             },
             resume: ResumeSection { enabled: false, skipped: 0, recovered: 0, corrupt: 0 },
             server: ServerSection {
                 enabled: true,
-                requests: 5,
-                completed: 4,
-                rejected_queue_full: 1,
-                rejected_quota: 0,
-                disconnects: 1,
+                counters: RequestCounters {
+                    requests: 5,
+                    completed: 4,
+                    rejected_queue_full: 1,
+                    rejected_quota: 0,
+                    rejected_draining: 0,
+                    disconnects: 1,
+                },
                 p50_us: 12_000,
                 p90_us: 44_000,
                 p99_us: 80_000,
@@ -1151,7 +985,7 @@ mod tests {
                         (Phase::Blast, 14_000),
                         (Phase::Cdcl, 31_000),
                     ],
-                    solver: SolverCounters {
+                    solver: SolverStats {
                         queries: 25,
                         sat: 14,
                         unsat: 10,
@@ -1169,7 +1003,8 @@ mod tests {
                         rewrite_passes: 25,
                         rewrite_nodes_saved: 180,
                         lbd_kept: 6,
-                        time_us: 61_000,
+                        time: Duration::from_micros(61_000),
+                        ..SolverStats::default()
                     },
                 }],
             },
@@ -1284,9 +1119,14 @@ mod tests {
 
     #[test]
     fn cache_hit_miss_sum_must_match_obligations() {
-        let mut report = sample_report();
-        report.cache.obligations = report.cache.hits + report.cache.misses + 1;
-        let doc = Json::parse(&report.to_json()).expect("parses");
+        let mut doc = Json::parse(&sample_report().to_json()).expect("parses");
+        if let Json::Obj(fields) = &mut doc {
+            let cache = fields.iter_mut().find(|(k, _)| k == "cache").expect("cache section");
+            if let Json::Obj(cache) = &mut cache.1 {
+                cache.retain(|(k, _)| k != "obligations");
+                cache.push(("obligations".into(), json::num(9 + 25 + 1)));
+            }
+        }
         let errs = validate(&doc).expect_err("must fail");
         assert!(
             errs.iter().any(|e| e.contains("disagree with obligations")),
@@ -1358,7 +1198,7 @@ mod tests {
     #[test]
     fn server_completed_cannot_exceed_requests() {
         let mut report = sample_report();
-        report.server.completed = report.server.requests + 1;
+        report.server.counters.completed = report.server.counters.requests + 1;
         let doc = Json::parse(&report.to_json()).expect("parses");
         let errs = validate(&doc).expect_err("must fail");
         assert!(errs.iter().any(|e| e.contains("exceeds accepted requests")), "{errs:?}");

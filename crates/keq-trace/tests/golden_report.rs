@@ -7,10 +7,12 @@
 //! Regenerate after an *intentional* schema change with
 //! `KEQ_BLESS_GOLDEN=1 cargo test -p keq-trace --test golden_report`.
 
+use std::time::Duration;
+
 use keq_trace::{
     check_phase_coverage, validate, AttemptReport, CacheCounters, FunctionReport, Histogram, Json,
-    OutcomeTable, PassSection, Phase, PhaseSummary, ResumeSection, RunReport, ServerSection,
-    SlowObligation, SolverCounters, TelemetrySection,
+    OutcomeTable, PassSection, Phase, PhaseSummary, RequestCounters, ResumeSection, RunReport,
+    ServerSection, SlowObligation, SolverStats, TelemetrySection,
 };
 
 const TRICKY_MESSAGE: &str = "boom \"quoted\"\nsecond line\twith tab \\ backslash and π";
@@ -61,7 +63,7 @@ fn golden_report() -> RunReport {
                 },
             },
         ],
-        solver: SolverCounters {
+        solver: SolverStats {
             queries: 40,
             sat: 22,
             unsat: 17,
@@ -75,17 +77,16 @@ fn golden_report() -> RunReport {
             clauses_retained: 55,
             terms_blasted: 1000,
             terms_blast_reused: 400,
+            obligation_cache_hits: 9,
+            obligation_cache_misses: 25,
+            obligation_cache_stores: 14,
             rewrite_rules_fired: 120,
             rewrite_passes: 48,
             rewrite_nodes_saved: 310,
             lbd_kept: 11,
-            time_us: 80_120,
+            time: Duration::from_micros(80_120),
         },
         cache: CacheCounters {
-            obligations: 34,
-            hits: 9,
-            misses: 25,
-            stores: 14,
             evictions: 1,
             entries: 13,
             disk_loaded: 5,
@@ -95,15 +96,19 @@ fn golden_report() -> RunReport {
             flushes: 2,
             flush_failures: 1,
             degraded: false,
+            persist_failed: false,
         },
         resume: ResumeSection { enabled: true, skipped: 1, recovered: 1, corrupt: 1 },
         server: ServerSection {
             enabled: true,
-            requests: 6,
-            completed: 5,
-            rejected_queue_full: 1,
-            rejected_quota: 1,
-            disconnects: 1,
+            counters: RequestCounters {
+                requests: 6,
+                completed: 5,
+                rejected_queue_full: 1,
+                rejected_quota: 1,
+                rejected_draining: 0,
+                disconnects: 1,
+            },
             p50_us: 12_000,
             p90_us: 44_000,
             p99_us: 80_000,
@@ -124,7 +129,7 @@ fn golden_report() -> RunReport {
                     (Phase::Blast, 14_000),
                     (Phase::Cdcl, 31_000),
                 ],
-                solver: SolverCounters {
+                solver: SolverStats {
                     queries: 25,
                     sat: 14,
                     unsat: 10,
@@ -142,7 +147,8 @@ fn golden_report() -> RunReport {
                     rewrite_passes: 25,
                     rewrite_nodes_saved: 180,
                     lbd_kept: 6,
-                    time_us: 61_000,
+                    time: Duration::from_micros(61_000),
+                    ..SolverStats::default()
                 },
             }],
         },

@@ -223,11 +223,11 @@ fn main() {
                 println!(
                     "server: {} requests ({} completed, depth {}), rejected {} queue-full / \
                      {} quota; cache {} hits / {} misses ({} entries)",
-                    s.requests,
-                    s.completed,
+                    s.counters.requests,
+                    s.counters.completed,
                     s.depth,
-                    s.rejected_queue_full,
-                    s.rejected_quota,
+                    s.counters.rejected_queue_full,
+                    s.counters.rejected_quota,
                     s.cache_hits,
                     s.cache_misses,
                     s.cache_entries,

@@ -11,6 +11,12 @@ cargo build --release --workspace --all-targets
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# The benchmark package has its own workspace and compiles against the
+# crates' public API; build and test it so an API change that breaks it
+# fails here.
+echo "==> cargo test --release --offline -q --manifest-path benchmark/Cargo.toml"
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
