@@ -60,10 +60,7 @@ fn main() {
     println!("{:<30} {:>10}", "Other", summary.count(ResultKind::Other));
     println!("{:<30} {:>10}", "Total", summary.total());
     println!();
-    println!(
-        "success rate: {:.2}%  (paper: 91.52% = 4331/4732)",
-        summary.success_rate() * 100.0
-    );
+    println!("success rate: {:.2}%  (paper: 91.52% = 4331/4732)", summary.success_rate() * 100.0);
     // Machine-readable mirror of the table, in the shared report schema.
     println!("outcome_json: {}", outcome_table(&summary).to_json_string());
     println!("{}", summary.summary_line());
@@ -100,14 +97,8 @@ fn main() {
             }
             fired += 1;
             let mut ctx = ValidationContext::new();
-            let (report, out) = validate_gvn_with_context(
-                &module,
-                f,
-                GvnOptions { bug },
-                opts,
-                None,
-                &mut ctx,
-            );
+            let (report, out) =
+                validate_gvn_with_context(&module, f, GvnOptions { bug }, opts, None, &mut ctx);
             if !report.verdict.is_validated() {
                 caught += 1;
                 continue;
@@ -121,9 +112,7 @@ fn main() {
                     .params
                     .iter()
                     .enumerate()
-                    .map(|(i, _)| {
-                        keq_llvm::interp::CValue::new(32, trial * 37 + 3 + i as u128)
-                    })
+                    .map(|(i, _)| keq_llvm::interp::CValue::new(32, trial * 37 + 3 + i as u128))
                     .collect();
                 let mut mem_l = keq_smt::MemValue::default();
                 let mut mem_r = keq_smt::MemValue::default();

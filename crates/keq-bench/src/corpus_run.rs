@@ -9,8 +9,8 @@ use keq_llvm::ast::Module;
 use keq_workload::{generate_corpus, GenConfig};
 
 pub use keq_harness::{
-    build_report, outcome_table, run_module, AttemptRecord, CorpusResult, CorpusRow,
-    CorpusSummary, HarnessOptions, ResultKind, RetryPolicy,
+    build_report, outcome_table, run_module, AttemptRecord, CorpusResult, CorpusRow, CorpusSummary,
+    HarnessOptions, ResultKind, RetryPolicy,
 };
 
 /// Generates `n` corpus functions and validates each under the given

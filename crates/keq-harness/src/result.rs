@@ -109,8 +109,9 @@ impl AttemptRecord {
     /// field (distinct from the message).
     pub fn panic_location(&self) -> Option<&str> {
         match &self.result {
-            CorpusResult::Crashed { location, .. }
-            | CorpusResult::Quarantined { location, .. } => location.as_deref(),
+            CorpusResult::Crashed { location, .. } | CorpusResult::Quarantined { location, .. } => {
+                location.as_deref()
+            }
             _ => None,
         }
     }
@@ -267,9 +268,7 @@ impl CorpusSummary {
                 self.cache.flush_failures,
             ));
         } else if self.cache.persist_failed {
-            line.push_str(
-                " | WARNING: obligation store persist failed; proved verdicts not saved",
-            );
+            line.push_str(" | WARNING: obligation store persist failed; proved verdicts not saved");
         }
         line
     }
@@ -390,7 +389,8 @@ mod tests {
 
         // Attempt-less summaries (all rows recovered) skip the segment
         // rather than inventing numbers.
-        let quiet = CorpusSummary { rows: vec![row(0, CorpusResult::Succeeded)], ..Default::default() };
+        let quiet =
+            CorpusSummary { rows: vec![row(0, CorpusResult::Succeeded)], ..Default::default() };
         assert!(!quiet.summary_line().contains("latency:"), "{}", quiet.summary_line());
     }
 

@@ -275,8 +275,7 @@ pub fn run_module(module: &Module, opts: &HarnessOptions) -> CorpusSummary {
     // record by function index *and* per-function fingerprint (and the
     // whole journal by corpus fingerprint), so a changed corpus can never
     // inherit stale verdicts.
-    let func_fps: Vec<u64> =
-        module.functions.iter().map(journal::function_fingerprint).collect();
+    let func_fps: Vec<u64> = module.functions.iter().map(journal::function_fingerprint).collect();
     let corpus_fp = journal::fingerprint_of(&func_fps);
     let mut resume = keq_trace::ResumeSection::default();
     let mut recovered: Vec<Option<JournalRecord>> = vec![None; units];
@@ -304,8 +303,7 @@ pub fn run_module(module: &Module, opts: &HarnessOptions) -> CorpusSummary {
                 valid_prefix = Some(load.valid_prefix);
             }
         }
-        journal_cfg =
-            Some(JournalConfig { path: journal_path.clone(), corpus_fp, valid_prefix });
+        journal_cfg = Some(JournalConfig { path: journal_path.clone(), corpus_fp, valid_prefix });
     }
 
     let workers = if opts.workers == 0 {
@@ -455,10 +453,8 @@ mod tests {
         );
         // Disabled (the default) and zero-cap configurations stay sane.
         assert_eq!(RetryPolicy::default().backoff_for(1, 0, 4), Duration::ZERO);
-        let uncapped = RetryPolicy {
-            backoff_base: Duration::from_millis(10),
-            ..RetryPolicy::default()
-        };
+        let uncapped =
+            RetryPolicy { backoff_base: Duration::from_millis(10), ..RetryPolicy::default() };
         assert!(uncapped.backoff_for(9, 2, 4) <= Duration::from_millis(640), "64x base clamp");
     }
 }

@@ -125,9 +125,7 @@ impl SlowTable {
         if self.k == 0 {
             return;
         }
-        if self.rows.len() >= self.k
-            && row.wall_us <= self.rows.last().map_or(0, |r| r.wall_us)
-        {
+        if self.rows.len() >= self.k && row.wall_us <= self.rows.last().map_or(0, |r| r.wall_us) {
             return;
         }
         let at = self.rows.partition_point(|r| r.wall_us >= row.wall_us);
@@ -217,11 +215,7 @@ impl Telemetry {
 
     /// The report-schema telemetry section of this scheduler's lifetime.
     pub fn section(&self) -> TelemetrySection {
-        TelemetrySection {
-            enabled: self.enabled,
-            samples: self.samples(),
-            slow: self.slow_rows(),
-        }
+        TelemetrySection { enabled: self.enabled, samples: self.samples(), slow: self.slow_rows() }
     }
 
     /// The whole registry plus the slow-obligation table in Prometheus
@@ -244,8 +238,7 @@ impl Telemetry {
             .collect();
         fams.push(PromMetric {
             name: "keq_slow_obligation_wall_us".to_string(),
-            help: "Total wall time of the slowest obligations (top-K), microseconds"
-                .to_string(),
+            help: "Total wall time of the slowest obligations (top-K), microseconds".to_string(),
             kind: PromKind::Gauge,
             samples,
         });
@@ -963,11 +956,7 @@ impl Scheduler {
     ///
     /// [`Rejected`] when the gate bounces the request: queue full, client
     /// over quota, or draining. Rejection leaves no scheduler state behind.
-    pub fn submit(
-        &self,
-        req: Request,
-        reply: mpsc::Sender<Completion>,
-    ) -> Result<u64, Rejected> {
+    pub fn submit(&self, req: Request, reply: mpsc::Sender<Completion>) -> Result<u64, Rejected> {
         let rejection = {
             let mut gate = self.gate.lock().expect("gate poisoned");
             if gate.draining {
@@ -1367,11 +1356,10 @@ fn supervise(
             reg.gauge_set(GaugeId::QueueDepth, depth);
             let busy = inflight.len() as u64;
             reg.gauge_set(GaugeId::WorkersBusy, busy);
-            let active =
-                pool.iter().filter(|w| !w.retired.load(Ordering::Acquire)).count() as u64;
+            let active = pool.iter().filter(|w| !w.retired.load(Ordering::Acquire)).count() as u64;
             reg.gauge_set(GaugeId::WorkersIdle, active.saturating_sub(busy));
-            let degraded = flusher.stats.degraded
-                || journal_writer.as_ref().is_some_and(|w| w.degraded);
+            let degraded =
+                flusher.stats.degraded || journal_writer.as_ref().is_some_and(|w| w.degraded);
             reg.gauge_set(GaugeId::StoreDegraded, u64::from(degraded));
             let cache = config.shared.stats();
             reg.gauge_set(GaugeId::ObcacheEntries, cache.entries);
@@ -1607,12 +1595,8 @@ fn run_attempt(
     // The context rides inside the closure so a panic mid-validation drops
     // it during unwind: a context of unknown consistency is never reused
     // (and panics are not retryable anyway).
-    let opts = PassOptions {
-        isel: settings.isel,
-        vc: settings.vc,
-        ra: settings.ra,
-        gvn: settings.gvn,
-    };
+    let opts =
+        PassOptions { isel: settings.isel, vc: settings.vc, ra: settings.ra, gvn: settings.gvn };
     let pass = core.pass;
     let module_in = Arc::clone(&core.module);
     let func_idx = core.func;

@@ -54,8 +54,11 @@ fn config(journal_path: Option<PathBuf>, fp: u64) -> SchedulerConfig {
         disk_rejected: 0,
         store_flush_every: 0,
         store_breaker_threshold: 3,
-        journal: journal_path
-            .map(|path| keq_harness::JournalConfig { path, corpus_fp: fp, valid_prefix: None }),
+        journal: journal_path.map(|path| keq_harness::JournalConfig {
+            path,
+            corpus_fp: fp,
+            valid_prefix: None,
+        }),
         metrics: keq_harness::MetricsConfig::default(),
     }
 }
@@ -224,8 +227,7 @@ fn tcp_client_vanishing_mid_request_leaves_the_server_serving() {
     // request's functions finalize, then revalidate and expect cache hits.
     let mut conn = connect(&addr).expect("reconnect");
     loop {
-        let ServerResponse::Stats(stats) =
-            conn.roundtrip(&ClientRequest::Stats).expect("stats")
+        let ServerResponse::Stats(stats) = conn.roundtrip(&ClientRequest::Stats).expect("stats")
         else {
             panic!("expected stats");
         };
@@ -248,15 +250,11 @@ fn tcp_client_vanishing_mid_request_leaves_the_server_serving() {
         panic!("expected verdicts, got {resp:?}");
     };
     assert_eq!(results.len(), 2);
-    let ServerResponse::Stats(stats) = conn.roundtrip(&ClientRequest::Stats).expect("stats")
-    else {
+    let ServerResponse::Stats(stats) = conn.roundtrip(&ClientRequest::Stats).expect("stats") else {
         panic!("expected stats");
     };
     assert_eq!(stats.counters.requests, 4, "both requests' functions were admitted");
-    assert!(
-        stats.cache_hits > 0,
-        "the revalidation rides the cache the vanished client warmed"
-    );
+    assert!(stats.cache_hits > 0, "the revalidation rides the cache the vanished client warmed");
 
     conn.roundtrip(&ClientRequest::Shutdown).expect("shutdown");
     let summary = run.join().expect("server thread");

@@ -47,10 +47,7 @@ fn config() -> SchedulerConfig {
         store_flush_every: 0,
         store_breaker_threshold: 3,
         journal: None,
-        metrics: MetricsConfig {
-            enabled: true,
-            ..MetricsConfig::default()
-        },
+        metrics: MetricsConfig { enabled: true, ..MetricsConfig::default() },
     }
 }
 
@@ -77,13 +74,7 @@ fn check_table<T: CounterTable>(what: &str, stats: &T, reg: &Registry) -> Vec<Co
 
 #[test]
 fn registry_totals_match_the_merged_run_counters() {
-    let corpus = Arc::new(generate_corpus(
-        GenConfig {
-            seed: 2021,
-            ..GenConfig::default()
-        },
-        3,
-    ));
+    let corpus = Arc::new(generate_corpus(GenConfig { seed: 2021, ..GenConfig::default() }, 3));
     let sched = Scheduler::start(config());
     let (tx, rx) = mpsc::channel();
     // Two rounds over the same functions under every pass: the second
@@ -105,9 +96,7 @@ fn registry_totals_match_the_merged_run_counters() {
                     deadline: None,
                     max_attempts: None,
                 };
-                sched
-                    .submit(req, tx.clone())
-                    .expect("unbounded scheduler admits");
+                sched.submit(req, tx.clone()).expect("unbounded scheduler admits");
                 submitted += 1;
             }
         }
@@ -116,10 +105,7 @@ fn registry_totals_match_the_merged_run_counters() {
     let completions: Vec<_> = rx.iter().collect();
     assert_eq!(completions.len() as u64, submitted);
     assert!(
-        completions
-            .iter()
-            .flat_map(|c| &c.attempts)
-            .all(|a| !a.abandoned),
+        completions.iter().flat_map(|c| &c.attempts).all(|a| !a.abandoned),
         "no watchdog abandonment: every attempt's delta was delivered"
     );
 
@@ -127,14 +113,8 @@ fn registry_totals_match_the_merged_run_counters() {
     let telemetry = sched.telemetry();
     let reg = telemetry.registry();
     let s = &fin.solver;
-    assert!(
-        s.queries > 0 && s.rewrite_passes > 0,
-        "the batch exercised the solver: {s:?}"
-    );
-    assert!(
-        s.obligation_cache_hits > 0,
-        "the second round hit the shared cache: {s:?}"
-    );
+    assert!(s.queries > 0 && s.rewrite_passes > 0, "the batch exercised the solver: {s:?}");
+    assert!(s.obligation_cache_hits > 0, "the second round hit the shared cache: {s:?}");
 
     let mut covered = check_table("solver", s, reg);
     covered.extend(check_table("server", &fin.server, reg));

@@ -133,9 +133,7 @@ impl ImpProgram {
                 Expr::Add(a, b) => eexpr(a, env).wrapping_add(eexpr(b, env)),
                 Expr::Sub(a, b) => eexpr(a, env).wrapping_sub(eexpr(b, env)),
                 Expr::Mul(a, b) => eexpr(a, env).wrapping_mul(eexpr(b, env)),
-                Expr::Lt(a, b) => {
-                    i32::from((eexpr(a, env) as u32) < (eexpr(b, env) as u32))
-                }
+                Expr::Lt(a, b) => i32::from((eexpr(a, env) as u32) < (eexpr(b, env) as u32)),
             }
         }
         fn estmts(

@@ -82,15 +82,13 @@ impl Language for ImpSemantics {
         "imp"
     }
 
-    fn step(
-        &self,
-        cfg: &SymConfig,
-        bank: &mut TermBank,
-    ) -> Result<Vec<SymConfig>, SemanticsError> {
+    fn step(&self, cfg: &SymConfig, bank: &mut TermBank) -> Result<Vec<SymConfig>, SemanticsError> {
         let pc = pc_of(&cfg.loc, 'L')?;
-        let op = self.flat.ops.get(pc).ok_or_else(|| SemanticsError::UnknownBlock {
-            name: cfg.loc.block.clone(),
-        })?;
+        let op = self
+            .flat
+            .ops
+            .get(pc)
+            .ok_or_else(|| SemanticsError::UnknownBlock { name: cfg.loc.block.clone() })?;
         Ok(match op {
             ImpOp::Assign(x, e) => {
                 let v = self.eval(bank, cfg, e)?;
@@ -153,15 +151,13 @@ impl Language for StackSemantics {
         "stack"
     }
 
-    fn step(
-        &self,
-        cfg: &SymConfig,
-        bank: &mut TermBank,
-    ) -> Result<Vec<SymConfig>, SemanticsError> {
+    fn step(&self, cfg: &SymConfig, bank: &mut TermBank) -> Result<Vec<SymConfig>, SemanticsError> {
         let pc = pc_of(&cfg.loc, 'S')?;
-        let op = self.func.ops.get(pc).ok_or_else(|| SemanticsError::UnknownBlock {
-            name: cfg.loc.block.clone(),
-        })?;
+        let op = self
+            .func
+            .ops
+            .get(pc)
+            .ok_or_else(|| SemanticsError::UnknownBlock { name: cfg.loc.block.clone() })?;
         let d = self.func.depth[pc];
         Ok(match op {
             StackOp::Push(c) => {
@@ -238,10 +234,7 @@ mod tests {
     fn imp_step_assign_and_ret() {
         let p = ImpProgram {
             inputs: vec!["x".into()],
-            body: vec![Stmt::Assign(
-                "y".into(),
-                Expr::add(Expr::var("x"), Expr::Const(1)),
-            )],
+            body: vec![Stmt::Assign("y".into(), Expr::add(Expr::var("x"), Expr::Const(1)))],
             result: Expr::var("y"),
         };
         let sem = ImpSemantics::new(flatten(&p));
@@ -264,10 +257,7 @@ mod tests {
     fn stack_push_add_store() {
         let p = ImpProgram {
             inputs: vec!["x".into()],
-            body: vec![Stmt::Assign(
-                "y".into(),
-                Expr::add(Expr::var("x"), Expr::Const(1)),
-            )],
+            body: vec![Stmt::Assign("y".into(), Expr::add(Expr::var("x"), Expr::Const(1)))],
             result: Expr::var("y"),
         };
         let sem = StackSemantics::new(compile(&p));

@@ -17,11 +17,8 @@ use crate::sem::{ImpSemantics, StackSemantics};
 pub fn imp_sync_points(flat: &ImpFlat, sf: &StackFn) -> SyncSet {
     let mut set = SyncSet::new();
     let var_havocs: Vec<(String, u32)> = flat.vars.iter().map(|v| (v.clone(), 32)).collect();
-    let var_eqs: Vec<(ValueExpr, ValueExpr)> = flat
-        .vars
-        .iter()
-        .map(|v| (ValueExpr::Reg(v.clone()), ValueExpr::Reg(v.clone())))
-        .collect();
+    let var_eqs: Vec<(ValueExpr, ValueExpr)> =
+        flat.vars.iter().map(|v| (ValueExpr::Reg(v.clone()), ValueExpr::Reg(v.clone()))).collect();
 
     set.push(SyncPoint {
         name: "entry".into(),

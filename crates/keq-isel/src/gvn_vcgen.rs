@@ -52,10 +52,7 @@ fn call_locs(func: &Function) -> Vec<CallLoc> {
     for b in &func.blocks {
         for (idx, i) in b.instrs.iter().enumerate() {
             if let Instr::Call { dst, ret_ty, callee, args } = i {
-                let nth = *ordinals
-                    .entry(callee.clone())
-                    .and_modify(|n| *n += 1)
-                    .or_insert(0);
+                let nth = *ordinals.entry(callee.clone()).and_modify(|n| *n += 1).or_insert(0);
                 locs.push(CallLoc {
                     callee: callee.clone(),
                     nth,
@@ -159,7 +156,14 @@ pub fn gvn_sync_points(pre: &Function, out: &GvnOutput) -> SyncSet {
             let mut equalities = Vec::new();
             if let Some(live) = lv.live_in.get(&header) {
                 for l in live {
-                    relate_local(l, &types, out, &mut left_havoc, &mut right_havoc, &mut equalities);
+                    relate_local(
+                        l,
+                        &types,
+                        out,
+                        &mut left_havoc,
+                        &mut right_havoc,
+                        &mut equalities,
+                    );
                 }
             }
             for l in phi_uses_from(pre, &header, pred) {

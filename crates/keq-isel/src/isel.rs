@@ -130,9 +130,7 @@ pub fn x86_width(ty: &Type) -> Result<u32, IselError> {
         Type::Int(w) if [8, 16, 32, 64].contains(w) => *w,
         Type::Ptr(_) => 64,
         other => {
-            return Err(IselError {
-                message: format!("type {other} not supported in registers"),
-            })
+            return Err(IselError { message: format!("type {other} not supported in registers") })
         }
     };
     Ok(bits)
@@ -141,9 +139,7 @@ pub fn x86_width(ty: &Type) -> Result<u32, IselError> {
 /// The result type of an instruction, if it defines a value.
 pub fn result_type(instr: &Instr) -> Option<Type> {
     match instr {
-        Instr::Bin { ty, .. } | Instr::Phi { ty, .. } | Instr::Load { ty, .. } => {
-            Some(ty.clone())
-        }
+        Instr::Bin { ty, .. } | Instr::Phi { ty, .. } | Instr::Load { ty, .. } => Some(ty.clone()),
         Instr::Icmp { .. } => Some(Type::I1),
         Instr::Alloca { .. } | Instr::Gep { .. } => Some(Type::I8.ptr_to()),
         Instr::Cast { to_ty, .. } => Some(to_ty.clone()),
@@ -292,10 +288,7 @@ impl Lowerer<'_> {
                 // Prologue: copy parameters out of the argument registers.
                 for (p, (name, _)) in self.hints.params.clone().iter().zip(params.iter()) {
                     let dst = self.existing_reg(name)?;
-                    out.instrs.push(VxInstr::Copy {
-                        dst,
-                        src: Reg::Phys(p.2, dst.width()),
-                    });
+                    out.instrs.push(VxInstr::Copy { dst, src: Reg::Phys(p.2, dst.width()) });
                 }
             }
             self.lower_block(b, &mut out)?;
@@ -313,12 +306,7 @@ impl Lowerer<'_> {
         let mut func = VxFunction {
             name: self.func.name.clone(),
             num_params: params.len(),
-            param_widths: self
-                .hints
-                .params
-                .iter()
-                .map(|(_, w, _)| *w)
-                .collect(),
+            param_widths: self.hints.params.iter().map(|(_, w, _)| *w).collect(),
             ret_width: self.hints.ret_width,
             blocks,
         };
@@ -345,9 +333,7 @@ impl Lowerer<'_> {
             }
             let instr = &b.instrs[i];
             // icmp fused into the terminator?
-            if let (Instr::Icmp { dst, .. }, Terminator::CondBr { cond, .. }) =
-                (instr, &b.term)
-            {
+            if let (Instr::Icmp { dst, .. }, Terminator::CondBr { cond, .. }) = (instr, &b.term) {
                 let fused = matches!(cond, Operand::Local(c) if c == dst)
                     && self.use_counts.get(dst).copied() == Some(1)
                     && i == b.instrs.len() - 1;
@@ -384,7 +370,9 @@ impl Lowerer<'_> {
         let [Instr::Bin { op: BinOp::Lshr, dst: s, lhs, rhs: Operand::Const(k), .. }, Instr::Cast { kind: CastKind::Trunc, dst: t, to_ty, val, .. }, ..] =
             rest
         else {
-            return Err(IselError { message: format!("wide load of {ty} outside narrowing pattern") });
+            return Err(IselError {
+                message: format!("wide load of {ty} outside narrowing pattern"),
+            });
         };
         let pattern_ok = self.opts.narrow_loads
             && matches!(lhs, Operand::Local(l) if l == v)
@@ -394,7 +382,9 @@ impl Lowerer<'_> {
             && *k >= 0
             && *k % 8 == 0;
         if !pattern_ok {
-            return Err(IselError { message: format!("wide load of {ty} outside narrowing pattern") });
+            return Err(IselError {
+                message: format!("wide load of {ty} outside narrowing pattern"),
+            });
         }
         let m = to_ty
             .int_width()
@@ -477,9 +467,7 @@ impl Lowerer<'_> {
                     BinOp::Sdiv => {
                         VxInstr::Div { signed: true, rem: false, dst: d, lhs: l, rhs: r }
                     }
-                    BinOp::Srem => {
-                        VxInstr::Div { signed: true, rem: true, dst: d, lhs: l, rhs: r }
-                    }
+                    BinOp::Srem => VxInstr::Div { signed: true, rem: true, dst: d, lhs: l, rhs: r },
                 };
                 out.instrs.push(vx);
             }
@@ -503,9 +491,7 @@ impl Lowerer<'_> {
                                 .entry(pred.clone())
                                 .or_default()
                                 .push(VxInstr::MovRI { dst: r, imm: *c });
-                            self.hints
-                                .phi_const_regs
-                                .insert((dst.clone(), pred.clone()), (*c, r));
+                            self.hints.phi_const_regs.insert((dst.clone(), pred.clone()), (*c, r));
                             r
                         }
                         Operand::Global(g) => {
@@ -597,8 +583,7 @@ impl Lowerer<'_> {
                 let ret = match (dst, ret_width) {
                     (Some(d), Some(w)) => {
                         let dr = self.vreg_of(d, ret_ty)?;
-                        out.instrs
-                            .push(VxInstr::Copy { dst: dr, src: Reg::Phys(PhysReg::Rax, w) });
+                        out.instrs.push(VxInstr::Copy { dst: dr, src: Reg::Phys(PhysReg::Rax, w) });
                         Some((d.clone(), w))
                     }
                     _ => None,
@@ -639,9 +624,7 @@ impl Lowerer<'_> {
                     }
                     Type::Struct(fields) => {
                         let Operand::Const(c) = idx else {
-                            return Err(IselError {
-                                message: "symbolic struct index".into(),
-                            });
+                            return Err(IselError { message: "symbolic struct index".into() });
                         };
                         let fi = *c as usize;
                         if fi >= fields.len() {
@@ -762,11 +745,7 @@ impl Lowerer<'_> {
         Ok(())
     }
 
-    fn lower_terminator(
-        &mut self,
-        term: &Terminator,
-        out: &mut VxBlock,
-    ) -> Result<(), IselError> {
+    fn lower_terminator(&mut self, term: &Terminator, out: &mut VxBlock) -> Result<(), IselError> {
         out.term = match term {
             Terminator::Br { target } => VxTerm::Jmp { target: self.vx_block_name(target) },
             Terminator::CondBr { cond, then_, else_ } => {
@@ -870,10 +849,9 @@ impl Lowerer<'_> {
                     if all_const {
                         let inner = self.addr_of_operand(base, out)?;
                         let regs = HashMap::new();
-                        let off = keq_llvm::interp::gep_address(
-                            0, base_ty, indices, &regs, self.layout,
-                        )
-                        .map_err(|t| IselError { message: t.to_string() })?;
+                        let off =
+                            keq_llvm::interp::gep_address(0, base_ty, indices, &regs, self.layout)
+                                .map_err(|t| IselError { message: t.to_string() })?;
                         Ok(Addr { disp: inner.disp + off as i64, ..inner })
                     } else {
                         Err(IselError { message: "symbolic constant-gep operand".into() })
@@ -1144,8 +1122,10 @@ mod tests {
         );
         let entry = &out.func.blocks[0];
         assert!(entry.instrs.iter().any(|i| matches!(i, VxInstr::Alu { op: AluOp::Sub, .. })));
-        assert!(matches!(&entry.term, VxTerm::CondJmp { cc: Cond::Ae, .. }),
-            "ult negates to jae toward the false target");
+        assert!(
+            matches!(&entry.term, VxTerm::CondJmp { cc: Cond::Ae, .. }),
+            "ult negates to jae toward the false target"
+        );
     }
 
     #[test]
@@ -1223,10 +1203,8 @@ mod tests {
     fn narrow_load_width_depends_on_bug_injection() {
         let src = keq_llvm::corpus::FIG10_LOAD_NARROW;
         let good = lower(src, IselOptions::default());
-        let bad = lower(
-            src,
-            IselOptions { bug: BugInjection::LoadNarrowing, ..Default::default() },
-        );
+        let bad =
+            lower(src, IselOptions { bug: BugInjection::LoadNarrowing, ..Default::default() });
         let load_width = |out: &IselOutput| {
             out.func.blocks[0]
                 .instrs
@@ -1248,15 +1226,18 @@ mod tests {
             IselOptions::default(),
         );
         let entry = &out.func.blocks[0];
-        let has_arg_copy = entry.instrs.iter().any(|i| {
-            matches!(i, VxInstr::Copy { dst: Reg::Phys(PhysReg::Rdi, _), .. })
-        });
-        let has_imm_arg = entry.instrs.iter().any(|i| {
-            matches!(i, VxInstr::MovRI { dst: Reg::Phys(PhysReg::Rsi, _), imm: 9 })
-        });
-        let has_ret_copy = entry.instrs.iter().any(|i| {
-            matches!(i, VxInstr::Copy { src: Reg::Phys(PhysReg::Rax, _), .. })
-        });
+        let has_arg_copy = entry
+            .instrs
+            .iter()
+            .any(|i| matches!(i, VxInstr::Copy { dst: Reg::Phys(PhysReg::Rdi, _), .. }));
+        let has_imm_arg = entry
+            .instrs
+            .iter()
+            .any(|i| matches!(i, VxInstr::MovRI { dst: Reg::Phys(PhysReg::Rsi, _), imm: 9 }));
+        let has_ret_copy = entry
+            .instrs
+            .iter()
+            .any(|i| matches!(i, VxInstr::Copy { src: Reg::Phys(PhysReg::Rax, _), .. }));
         assert!(has_arg_copy && has_imm_arg && has_ret_copy, "{entry:?}");
         assert_eq!(out.hints.call_sites.len(), 1);
         assert_eq!(out.hints.call_sites[0].callee, "g");
@@ -1270,10 +1251,10 @@ mod tests {
         );
         let entry = &out.func.blocks[0];
         assert!(
-            entry.instrs.iter().any(|i| matches!(
-                i,
-                VxInstr::Alu { op: AluOp::And, rhs: RegImm::Imm(1), .. }
-            )),
+            entry
+                .instrs
+                .iter()
+                .any(|i| matches!(i, VxInstr::Alu { op: AluOp::And, rhs: RegImm::Imm(1), .. })),
             "{entry:?}"
         );
     }
@@ -1286,10 +1267,10 @@ mod tests {
         );
         let entry = &out.func.blocks[0];
         assert!(
-            entry.instrs.iter().any(|i| matches!(
-                i,
-                VxInstr::Alu { op: AluOp::Sub, lhs: RegImm::Imm(0), .. }
-            )),
+            entry
+                .instrs
+                .iter()
+                .any(|i| matches!(i, VxInstr::Alu { op: AluOp::Sub, lhs: RegImm::Imm(0), .. })),
             "sext i1 is 0 - zext: {entry:?}"
         );
     }

@@ -137,8 +137,7 @@ impl Liveness {
                 }
                 let defs = block_defs(b);
                 let uses = non_phi_uses(b);
-                let mut inn: BTreeSet<String> =
-                    out.difference(&defs).cloned().collect();
+                let mut inn: BTreeSet<String> = out.difference(&defs).cloned().collect();
                 inn.extend(uses);
                 // Parameters are never "live-in" conceptually at non-entry
                 // blocks unless actually used later — the dataflow handles
@@ -200,10 +199,7 @@ mod tests {
         assert!(uses.contains("%a0"), "{uses:?}");
         // for.inc edge carries %add, %add1, %inc.
         let uses = phi_uses_from(&f, "for.cond", "for.inc");
-        assert_eq!(
-            uses,
-            ["%add", "%add1", "%inc"].iter().map(|s| s.to_string()).collect()
-        );
+        assert_eq!(uses, ["%add", "%add1", "%inc"].iter().map(|s| s.to_string()).collect());
     }
 
     #[test]

@@ -246,9 +246,7 @@ pub fn validate_translation_cancellable(
     cancel: Option<&CancelToken>,
 ) -> KeqReport {
     let mut ctx = ValidationContext::new();
-    validate_translation_with_context(
-        module, func, isel, layout, sync, keq_opts, cancel, &mut ctx,
-    )
+    validate_translation_with_context(module, func, isel, layout, sync, keq_opts, cancel, &mut ctx)
 }
 
 /// [`validate_translation_cancellable`] against a caller-owned
@@ -415,17 +413,16 @@ pub fn validate_pass_with_context(
     ctx: &mut ValidationContext,
 ) -> Result<KeqReport, IselError> {
     match pass {
-        PassId::Isel => validate_function_with_context(
-            module, func, opts.isel, opts.vc, keq_opts, cancel, ctx,
-        )
-        .map(|o| o.report),
+        PassId::Isel => {
+            validate_function_with_context(module, func, opts.isel, opts.vc, keq_opts, cancel, ctx)
+                .map(|o| o.report)
+        }
         PassId::Regalloc => {
             let isel_span = keq_trace::span(keq_trace::Phase::Isel);
             let layout = Layout::of(module, func);
             let pre = select(module, func, &layout, opts.isel)?.func;
             isel_span.done();
-            match validate_regalloc_with_context(&pre, &layout, opts.ra, keq_opts, cancel, ctx)
-            {
+            match validate_regalloc_with_context(&pre, &layout, opts.ra, keq_opts, cancel, ctx) {
                 Ok((report, _)) => Ok(report),
                 Err(crate::regalloc::RaError::Cancelled) => Ok(KeqReport {
                     verdict: keq_core::Verdict::NotValidated(keq_core::Failure {

@@ -208,10 +208,7 @@ pub fn regalloc_sync_points(pre: &VxFunction, post: &VxFunction, map: &RaMap) ->
             set.push(SyncPoint {
                 name: format!("bb:{}<-{}", b.name, pred),
                 left: SideSpec::startable(
-                    LocPattern::BlockEntry {
-                        block: b.name.clone(),
-                        prev: Some(pred.clone()),
-                    },
+                    LocPattern::BlockEntry { block: b.name.clone(), prev: Some(pred.clone()) },
                     CtrlLoc::block_start(b.name.clone(), Some(pred.clone())),
                     left_havoc,
                 ),
@@ -261,10 +258,7 @@ pub fn regalloc_sync_points(pre: &VxFunction, post: &VxFunction, map: &RaMap) ->
         set.push(SyncPoint {
             name: format!("call:{callee}#{nth}"),
             left: SideSpec::arrival(LocPattern::BeforeCall { callee: callee.clone(), nth: *nth }),
-            right: SideSpec::arrival(LocPattern::BeforeCall {
-                callee: callee.clone(),
-                nth: *nth,
-            }),
+            right: SideSpec::arrival(LocPattern::BeforeCall { callee: callee.clone(), nth: *nth }),
             equalities: before_eq,
             mem_equal: true,
         });

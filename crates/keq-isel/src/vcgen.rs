@@ -155,9 +155,9 @@ fn loop_point(
     let mut equalities = Vec::new();
 
     let relate = |local: &str,
-                      left_havoc: &mut Vec<(String, u32)>,
-                      right_havoc: &mut Vec<(String, u32)>,
-                      equalities: &mut Vec<(ValueExpr, ValueExpr)>| {
+                  left_havoc: &mut Vec<(String, u32)>,
+                  right_havoc: &mut Vec<(String, u32)>,
+                  equalities: &mut Vec<(ValueExpr, ValueExpr)>| {
         let Some(&w) = types.get(local) else { return };
         let Some(&vx) = hints.reg_map.get(local) else { return };
         if left_havoc.iter().any(|(n, _)| n == local) {
@@ -191,10 +191,7 @@ fn loop_point(
                                 debug_assert_eq!(cv, c);
                                 right_havoc.push((reg_key(*reg), reg.width()));
                                 equalities.push((
-                                    ValueExpr::Const {
-                                        value: *c as u128,
-                                        width: ty.value_bits(),
-                                    },
+                                    ValueExpr::Const { value: *c as u128, width: ty.value_bits() },
                                     ValueExpr::Reg(reg_key(*reg)),
                                 ));
                             }
@@ -267,14 +264,8 @@ fn call_points(
     }
     let before = SyncPoint {
         name: format!("call:{}#{}", cs.callee, cs.nth),
-        left: SideSpec::arrival(LocPattern::BeforeCall {
-            callee: cs.callee.clone(),
-            nth: cs.nth,
-        }),
-        right: SideSpec::arrival(LocPattern::BeforeCall {
-            callee: cs.callee.clone(),
-            nth: cs.nth,
-        }),
+        left: SideSpec::arrival(LocPattern::BeforeCall { callee: cs.callee.clone(), nth: cs.nth }),
+        right: SideSpec::arrival(LocPattern::BeforeCall { callee: cs.callee.clone(), nth: cs.nth }),
         equalities: before_eq,
         mem_equal: true,
     };

@@ -56,12 +56,8 @@ fn isel_and_regalloc_agree_with_source() {
         let Ok(out) = select(&module, f, &layout, IselOptions::default()) else {
             continue; // unsupported fragment
         };
-        let args: Vec<CValue> = f
-            .params
-            .iter()
-            .enumerate()
-            .map(|(i, _)| CValue::new(32, a + b * i as u128))
-            .collect();
+        let args: Vec<CValue> =
+            f.params.iter().enumerate().map(|(i, _)| CValue::new(32, a + b * i as u128)).collect();
         let raw: Vec<u128> = args.iter().map(|x| x.bits).collect();
         let mut lmem = keq_smt::MemValue::default();
         let lres = run_function(&module, f, &layout, &args, &mut lmem, 200_000, &default_ext_call);

@@ -122,9 +122,7 @@ pub fn run_function(
         let mut body_start = 0;
         for (i, instr) in block.instrs.iter().enumerate() {
             if let Instr::Phi { dst, ty, incomings } = instr {
-                let p = prev.ok_or_else(|| {
-                    Trap::Malformed(format!("phi {dst} in entry block"))
-                })?;
+                let p = prev.ok_or_else(|| Trap::Malformed(format!("phi {dst} in entry block")))?;
                 let (v, _) = incomings
                     .iter()
                     .find(|(_, bb)| bb == p)
@@ -261,9 +259,11 @@ fn exec_instr(
 }
 
 fn check_bounds(layout: &Layout, addr: u64, n: u64) -> Result<(), Trap> {
-    let ok = layout.mem.regions.iter().any(|r| {
-        r.size >= n && addr >= r.base && addr <= r.base + r.size - n
-    });
+    let ok = layout
+        .mem
+        .regions
+        .iter()
+        .any(|r| r.size >= n && addr >= r.base && addr <= r.base + r.size - n);
     if ok {
         Ok(())
     } else {
@@ -334,9 +334,7 @@ pub fn eval_operand(
                 let addr = gep_address(b.bits as u64, base_ty, indices, regs, layout)?;
                 Ok(CValue::new(64, u128::from(addr)))
             }
-            ConstExpr::Bitcast { from_ty, value, .. } => {
-                eval_operand(value, from_ty, regs, layout)
-            }
+            ConstExpr::Bitcast { from_ty, value, .. } => eval_operand(value, from_ty, regs, layout),
         },
     }
 }

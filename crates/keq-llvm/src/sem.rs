@@ -97,9 +97,10 @@ impl<'m> LlvmSemantics<'m> {
             Operand::Local(name) => cfg.reg(name),
             Operand::Const(c) => Ok(bank.mk_bv(bits, *c as u128)),
             Operand::Global(g) => {
-                let addr = self.layout.global_addr(g).ok_or_else(|| {
-                    SemanticsError::UnknownRegister { name: format!("@{g}") }
-                })?;
+                let addr = self
+                    .layout
+                    .global_addr(g)
+                    .ok_or_else(|| SemanticsError::UnknownRegister { name: format!("@{g}") })?;
                 Ok(bank.mk_bv(64, u128::from(addr)))
             }
             Operand::Null => Ok(bank.mk_bv(64, 0)),
@@ -198,11 +199,7 @@ impl Language for LlvmSemantics<'_> {
         "llvm"
     }
 
-    fn step(
-        &self,
-        cfg: &SymConfig,
-        bank: &mut TermBank,
-    ) -> Result<Vec<SymConfig>, SemanticsError> {
+    fn step(&self, cfg: &SymConfig, bank: &mut TermBank) -> Result<Vec<SymConfig>, SemanticsError> {
         debug_assert!(cfg.status.is_running(), "step on non-running config");
         let block = self
             .func
@@ -343,11 +340,8 @@ impl LlvmSemantics<'_> {
                 let oob = bank.mk_not(ok);
                 succs.push(cfg.to_error(bank, ErrorKind::OutOfBounds, oob));
                 next.assume(bank, ok);
-                let padded = if ty.value_bits() < n as u32 * 8 {
-                    bank.mk_zext(v, n as u32 * 8)
-                } else {
-                    v
-                };
+                let padded =
+                    if ty.value_bits() < n as u32 * 8 { bank.mk_zext(v, n as u32 * 8) } else { v };
                 next.mem = write_bytes(bank, cfg.mem, addr, padded);
                 succs.push(next);
             }
@@ -401,15 +395,12 @@ impl LlvmSemantics<'_> {
                 for (ty, a) in args {
                     arg_terms.push(self.resolve(bank, cfg, a, ty)?);
                 }
-                let nth = *self
-                    .call_ordinals
-                    .get(&(block.name.clone(), cfg.loc.index))
-                    .ok_or_else(|| SemanticsError::Internal {
-                        what: "call without ordinal".into(),
-                    })?;
+                let nth =
+                    *self.call_ordinals.get(&(block.name.clone(), cfg.loc.index)).ok_or_else(
+                        || SemanticsError::Internal { what: "call without ordinal".into() },
+                    )?;
                 let mut stop = cfg.clone();
-                stop.status =
-                    Status::AtCall { callee: callee.clone(), nth, args: arg_terms };
+                stop.status = Status::AtCall { callee: callee.clone(), nth, args: arg_terms };
                 succs.push(stop);
             }
         }
@@ -515,19 +506,14 @@ mod tests {
         (parse_module(src).expect("parses"), TermBank::new())
     }
 
-    fn step_all(
-        sem: &LlvmSemantics<'_>,
-        bank: &mut TermBank,
-        cfg: SymConfig,
-    ) -> Vec<SymConfig> {
+    fn step_all(sem: &LlvmSemantics<'_>, bank: &mut TermBank, cfg: SymConfig) -> Vec<SymConfig> {
         sem.step(&cfg, bank).expect("steps")
     }
 
     #[test]
     fn straightline_add_produces_sum_term() {
-        let (m, mut bank) = setup(
-            "define i32 @f(i32 %x, i32 %y) {\n %s = add i32 %x, %y\n ret i32 %s\n}",
-        );
+        let (m, mut bank) =
+            setup("define i32 @f(i32 %x, i32 %y) {\n %s = add i32 %x, %y\n ret i32 %s\n}");
         let f = m.function("f").expect("exists");
         let sem = LlvmSemantics::new(&m, f);
         let mem = bank.mk_var("mem", Sort::Memory);
@@ -565,9 +551,8 @@ mod tests {
 
     #[test]
     fn division_produces_error_branch() {
-        let (m, mut bank) = setup(
-            "define i32 @f(i32 %x, i32 %y) {\n %q = udiv i32 %x, %y\n ret i32 %q\n}",
-        );
+        let (m, mut bank) =
+            setup("define i32 @f(i32 %x, i32 %y) {\n %q = udiv i32 %x, %y\n ret i32 %q\n}");
         let f = m.function("f").expect("exists");
         let sem = LlvmSemantics::new(&m, f);
         let mem = bank.mk_var("mem", Sort::Memory);
@@ -584,9 +569,7 @@ mod tests {
     fn concrete_division_error_branch_folds_away() {
         // With a constant nonzero divisor the error branch carries a
         // literal-false path condition (prunable without a solver).
-        let (m, mut bank) = setup(
-            "define i32 @f(i32 %x) {\n %q = udiv i32 %x, 4\n ret i32 %q\n}",
-        );
+        let (m, mut bank) = setup("define i32 @f(i32 %x) {\n %q = udiv i32 %x, 4\n ret i32 %q\n}");
         let f = m.function("f").expect("exists");
         let sem = LlvmSemantics::new(&m, f);
         let mem = bank.mk_var("mem", Sort::Memory);
@@ -594,10 +577,7 @@ mod tests {
         let cfg = sem.initial_config(&mut bank, &[x], mem);
         let succs = step_all(&sem, &mut bank, cfg);
         let err = &succs[0];
-        assert!(err
-            .path
-            .iter()
-            .any(|&t| bank.as_bool_const(t) == Some(false)));
+        assert!(err.path.iter().any(|&t| bank.as_bool_const(t) == Some(false)));
     }
 
     #[test]
@@ -679,10 +659,7 @@ mod tests {
                     &m,
                     f,
                     &layout,
-                    &[
-                        crate::interp::CValue::new(32, 100),
-                        crate::interp::CValue::new(32, 7),
-                    ],
+                    &[crate::interp::CValue::new(32, 100), crate::interp::CValue::new(32, 7)],
                     &mut mem,
                     10_000,
                     &crate::interp::default_ext_call,

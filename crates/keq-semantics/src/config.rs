@@ -196,11 +196,7 @@ pub trait Language {
     ///
     /// Returns a [`SemanticsError`] on malformed programs or unsupported
     /// features.
-    fn step(
-        &self,
-        cfg: &SymConfig,
-        bank: &mut TermBank,
-    ) -> Result<Vec<SymConfig>, SemanticsError>;
+    fn step(&self, cfg: &SymConfig, bank: &mut TermBank) -> Result<Vec<SymConfig>, SemanticsError>;
 }
 
 #[cfg(test)]
@@ -216,10 +212,7 @@ mod tests {
         let v = bank.mk_bv(32, 7);
         cfg.set_reg("%x", v);
         assert_eq!(cfg.reg("%x"), Ok(v));
-        assert!(matches!(
-            cfg.reg("%y"),
-            Err(SemanticsError::UnknownRegister { .. })
-        ));
+        assert!(matches!(cfg.reg("%y"), Err(SemanticsError::UnknownRegister { .. })));
     }
 
     #[test]

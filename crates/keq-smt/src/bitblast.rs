@@ -178,13 +178,7 @@ impl<'a> BitBlaster<'a> {
             }
             Op::BvConst { width, value } => {
                 let bits: Vec<Lit> = (0..width)
-                    .map(|i| {
-                        if (value >> i) & 1 == 1 {
-                            self.lit_true()
-                        } else {
-                            self.lit_false()
-                        }
-                    })
+                    .map(|i| if (value >> i) & 1 == 1 { self.lit_true() } else { self.lit_false() })
                     .collect();
                 self.cache.bv_cache.insert(t, bits);
             }
@@ -245,17 +239,13 @@ impl<'a> BitBlaster<'a> {
                 self.cache.bv_cache.insert(t, bits);
             }
             Op::BvNot => {
-                let bits: Vec<Lit> = self.cached_bits(node.args[0])
-                    .iter()
-                    .map(|l| l.negate())
-                    .collect();
+                let bits: Vec<Lit> =
+                    self.cached_bits(node.args[0]).iter().map(|l| l.negate()).collect();
                 self.cache.bv_cache.insert(t, bits);
             }
             Op::BvNeg => {
-                let a: Vec<Lit> = self.cached_bits(node.args[0])
-                    .iter()
-                    .map(|l| l.negate())
-                    .collect();
+                let a: Vec<Lit> =
+                    self.cached_bits(node.args[0]).iter().map(|l| l.negate()).collect();
                 let one = self.lit_true();
                 let bits = self.gate_add(&a, None, one);
                 self.cache.bv_cache.insert(t, bits);
@@ -269,10 +259,8 @@ impl<'a> BitBlaster<'a> {
             }
             Op::BvSub => {
                 let a = self.cache.bv_cache[&node.args[0]].clone();
-                let nb: Vec<Lit> = self.cache.bv_cache[&node.args[1]]
-                    .iter()
-                    .map(|l| l.negate())
-                    .collect();
+                let nb: Vec<Lit> =
+                    self.cache.bv_cache[&node.args[1]].iter().map(|l| l.negate()).collect();
                 let one = self.lit_true();
                 let bits = self.gate_add(&a, Some(&nb), one);
                 self.cache.bv_cache.insert(t, bits);
@@ -301,11 +289,8 @@ impl<'a> BitBlaster<'a> {
             Op::BvAnd => {
                 let a = self.cache.bv_cache[&node.args[0]].clone();
                 let b = self.cache.bv_cache[&node.args[1]].clone();
-                let bits: Vec<Lit> = a
-                    .iter()
-                    .zip(&b)
-                    .map(|(&x, &y)| self.gate_and(&[x, y]))
-                    .collect();
+                let bits: Vec<Lit> =
+                    a.iter().zip(&b).map(|(&x, &y)| self.gate_and(&[x, y])).collect();
                 self.cache.bv_cache.insert(t, bits);
             }
             Op::BvOr => {
@@ -321,11 +306,7 @@ impl<'a> BitBlaster<'a> {
             Op::BvXor => {
                 let a = self.cache.bv_cache[&node.args[0]].clone();
                 let b = self.cache.bv_cache[&node.args[1]].clone();
-                let bits: Vec<Lit> = a
-                    .iter()
-                    .zip(&b)
-                    .map(|(&x, &y)| self.gate_xor(x, y))
-                    .collect();
+                let bits: Vec<Lit> = a.iter().zip(&b).map(|(&x, &y)| self.gate_xor(x, y)).collect();
                 self.cache.bv_cache.insert(t, bits);
             }
             Op::BvShl => {
@@ -589,13 +570,7 @@ impl<'a> BitBlaster<'a> {
         // k = 96 at width 96 has no bit of weight >= 2^7), so compare
         // against the constant n directly.
         let n_bits: Vec<Lit> = (0..n)
-            .map(|i| {
-                if (n as u128 >> i) & 1 == 1 {
-                    self.lit_true()
-                } else {
-                    self.lit_false()
-                }
-            })
+            .map(|i| if (n as u128 >> i) & 1 == 1 { self.lit_true() } else { self.lit_false() })
             .collect();
         let in_range = self.gate_ult(k, &n_bits);
         let fill_vec = vec![fill; n];
@@ -617,11 +592,8 @@ impl<'a> BitBlaster<'a> {
 
     /// `g ↔ (a = b)` for bitvectors.
     fn gate_bv_eq(&mut self, a: &[Lit], b: &[Lit]) -> Lit {
-        let xnors: Vec<Lit> = a
-            .iter()
-            .zip(b)
-            .map(|(&x, &y)| self.gate_xor(x, y).negate())
-            .collect();
+        let xnors: Vec<Lit> =
+            a.iter().zip(b).map(|(&x, &y)| self.gate_xor(x, y).negate()).collect();
         self.gate_and(&xnors)
     }
 }

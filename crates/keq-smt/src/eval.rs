@@ -148,23 +148,14 @@ fn eval_rec(
     let value = match node.op {
         Op::BoolConst(b) => Value::Bool(b),
         Op::BvConst { width, value } => Value::bv(width, value),
-        Op::Var(v) => asg
-            .get(v)
-            .cloned()
-            .unwrap_or_else(|| Assignment::default_for(node.sort)),
+        Op::Var(v) => asg.get(v).cloned().unwrap_or_else(|| Assignment::default_for(node.sort)),
         Op::Not => Value::Bool(!arg(0, cache).as_bool()),
-        Op::And => Value::Bool(
-            node.args
-                .clone()
-                .iter()
-                .all(|&a| eval_rec(bank, a, asg, cache).as_bool()),
-        ),
-        Op::Or => Value::Bool(
-            node.args
-                .clone()
-                .iter()
-                .any(|&a| eval_rec(bank, a, asg, cache).as_bool()),
-        ),
+        Op::And => {
+            Value::Bool(node.args.clone().iter().all(|&a| eval_rec(bank, a, asg, cache).as_bool()))
+        }
+        Op::Or => {
+            Value::Bool(node.args.clone().iter().any(|&a| eval_rec(bank, a, asg, cache).as_bool()))
+        }
         Op::Xor => Value::Bool(arg(0, cache).as_bool() ^ arg(1, cache).as_bool()),
         Op::Eq => {
             let a = arg(0, cache);
@@ -186,25 +177,13 @@ fn eval_rec(
             let (w, x) = arg(0, cache).as_bv();
             Value::bv(w, x.wrapping_neg())
         }
-        Op::BvAdd => bv2(arg(0, cache), arg(1, cache), |w, x, y| {
-            mask(w, x.wrapping_add(y))
-        }),
-        Op::BvSub => bv2(arg(0, cache), arg(1, cache), |w, x, y| {
-            mask(w, x.wrapping_sub(y))
-        }),
-        Op::BvMul => bv2(arg(0, cache), arg(1, cache), |w, x, y| {
-            mask(w, x.wrapping_mul(y))
-        }),
+        Op::BvAdd => bv2(arg(0, cache), arg(1, cache), |w, x, y| mask(w, x.wrapping_add(y))),
+        Op::BvSub => bv2(arg(0, cache), arg(1, cache), |w, x, y| mask(w, x.wrapping_sub(y))),
+        Op::BvMul => bv2(arg(0, cache), arg(1, cache), |w, x, y| mask(w, x.wrapping_mul(y))),
         Op::BvUdiv => bv2(arg(0, cache), arg(1, cache), |w, x, y| {
             x.checked_div(y).unwrap_or(mask(w, u128::MAX))
         }),
-        Op::BvUrem => bv2(arg(0, cache), arg(1, cache), |_, x, y| {
-            if y == 0 {
-                x
-            } else {
-                x % y
-            }
-        }),
+        Op::BvUrem => bv2(arg(0, cache), arg(1, cache), |_, x, y| if y == 0 { x } else { x % y }),
         Op::BvSdiv => bv2(arg(0, cache), arg(1, cache), |w, x, y| {
             let xs = to_signed(w, x);
             let ys = to_signed(w, y);
@@ -236,20 +215,22 @@ fn eval_rec(
         Op::BvAnd => bv2(arg(0, cache), arg(1, cache), |_, x, y| x & y),
         Op::BvOr => bv2(arg(0, cache), arg(1, cache), |_, x, y| x | y),
         Op::BvXor => bv2(arg(0, cache), arg(1, cache), |_, x, y| x ^ y),
-        Op::BvShl => bv2(arg(0, cache), arg(1, cache), |w, x, k| {
-            if k >= u128::from(w) {
-                0
-            } else {
-                mask(w, x << k)
-            }
-        }),
-        Op::BvLshr => bv2(arg(0, cache), arg(1, cache), |w, x, k| {
-            if k >= u128::from(w) {
-                0
-            } else {
-                x >> k
-            }
-        }),
+        Op::BvShl => {
+            bv2(
+                arg(0, cache),
+                arg(1, cache),
+                |w, x, k| {
+                    if k >= u128::from(w) {
+                        0
+                    } else {
+                        mask(w, x << k)
+                    }
+                },
+            )
+        }
+        Op::BvLshr => {
+            bv2(arg(0, cache), arg(1, cache), |w, x, k| if k >= u128::from(w) { 0 } else { x >> k })
+        }
         Op::BvAshr => bv2(arg(0, cache), arg(1, cache), |w, x, k| {
             let xs = to_signed(w, x);
             let k = k.min(u128::from(w - 1)) as u32;
@@ -257,12 +238,12 @@ fn eval_rec(
         }),
         Op::BvUlt => cmp2(arg(0, cache), arg(1, cache), |_, x, y| x < y),
         Op::BvUle => cmp2(arg(0, cache), arg(1, cache), |_, x, y| x <= y),
-        Op::BvSlt => cmp2(arg(0, cache), arg(1, cache), |w, x, y| {
-            to_signed(w, x) < to_signed(w, y)
-        }),
-        Op::BvSle => cmp2(arg(0, cache), arg(1, cache), |w, x, y| {
-            to_signed(w, x) <= to_signed(w, y)
-        }),
+        Op::BvSlt => {
+            cmp2(arg(0, cache), arg(1, cache), |w, x, y| to_signed(w, x) < to_signed(w, y))
+        }
+        Op::BvSle => {
+            cmp2(arg(0, cache), arg(1, cache), |w, x, y| to_signed(w, x) <= to_signed(w, y))
+        }
         Op::ZeroExt(to) => {
             let (_, x) = arg(0, cache).as_bv();
             Value::bv(to, x)

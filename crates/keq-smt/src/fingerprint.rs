@@ -181,7 +181,15 @@ fn op_code(op: &Op) -> u64 {
 fn commutative(op: &Op) -> bool {
     matches!(
         op,
-        Op::And | Op::Or | Op::Xor | Op::Eq | Op::BvAdd | Op::BvMul | Op::BvAnd | Op::BvOr | Op::BvXor
+        Op::And
+            | Op::Or
+            | Op::Xor
+            | Op::Eq
+            | Op::BvAdd
+            | Op::BvMul
+            | Op::BvAnd
+            | Op::BvOr
+            | Op::BvXor
     )
 }
 
@@ -319,18 +327,12 @@ pub fn fingerprint_obligation(
         if memo.shape.contains_key(&id) {
             continue;
         }
-        let h = node_hash(
-            bank,
-            id,
-            |a| memo.shape[&a],
-            |v| sort_word(bank.var(v).1),
-        );
+        let h = node_hash(bank, id, |a| memo.shape[&a], |v| sort_word(bank.var(v).1));
         memo.shape.insert(id, h);
     }
 
     // Step 3: refine variable colors and per-query node hashes.
-    let mut node_h: HashMap<TermId, u128> =
-        order.iter().map(|&id| (id, memo.shape[&id])).collect();
+    let mut node_h: HashMap<TermId, u128> = order.iter().map(|&id| (id, memo.shape[&id])).collect();
     for _ in 0..REFINE_ROUNDS {
         let colors = refine_colors(bank, &order, &roots, &node_h);
         let mut next: HashMap<TermId, u128> = HashMap::with_capacity(order.len());
@@ -377,12 +379,7 @@ pub fn fingerprint_obligation(
     // preserved by the shared index space.
     let mut fin: HashMap<TermId, u128> = HashMap::with_capacity(order.len());
     for &id in &order {
-        let h = node_hash(
-            bank,
-            id,
-            |a| fin[&a],
-            |v| 0x8000_0000_0000_0000 | var_index[&v],
-        );
+        let h = node_hash(bank, id, |a| fin[&a], |v| 0x8000_0000_0000_0000 | var_index[&v]);
         fin.insert(id, h);
     }
     let mut root_hashes: Vec<u128> = roots.iter().map(|r| fin[r]).collect();
@@ -424,10 +421,7 @@ mod tests {
         assert_eq!(fp(&b1, &[a1, a2]), fp(&b2, &[b_a1, b_a2]));
         // Split into prefix+delta and reordered conjuncts: same obligation.
         let mut memo = ShapeMemo::default();
-        assert_eq!(
-            fingerprint_obligation(&b1, &mut memo, &[&[a2], &[a1]]),
-            fp(&b1, &[a1, a2])
-        );
+        assert_eq!(fingerprint_obligation(&b1, &mut memo, &[&[a2], &[a1]]), fp(&b1, &[a1, a2]));
     }
 
     #[test]

@@ -302,8 +302,7 @@ fn rebuild(bank: &mut TermBank, t: TermId, memo: &HashMap<TermId, TermId>) -> Te
     if orig_args.is_empty() {
         return t;
     }
-    let args: Vec<TermId> =
-        orig_args.iter().map(|a| memo.get(a).copied().unwrap_or(*a)).collect();
+    let args: Vec<TermId> = orig_args.iter().map(|a| memo.get(a).copied().unwrap_or(*a)).collect();
     if args == orig_args {
         return t;
     }
@@ -698,11 +697,7 @@ fn algebraic_laws(bank: &mut TermBank, t: TermId) -> Option<TermId> {
             if retained.len() == args.len() {
                 return None;
             }
-            Some(if op == Op::And {
-                bank.mk_and(retained)
-            } else {
-                bank.mk_or(retained)
-            })
+            Some(if op == Op::And { bank.mk_and(retained) } else { bank.mk_or(retained) })
         }
         Op::BvSub => {
             let (a, b) = (arg(bank, t, 0), arg(bank, t, 1));
@@ -1141,7 +1136,12 @@ mod tests {
         let (out, delta) = rw.normalize(&mut bank, &[s], None).expect("not cancelled");
         assert_eq!(out[0], y);
         assert!(delta.total_fired() >= 1, "fired = {:?}", delta.fired);
-        assert!(delta.nodes_saved() >= 1, "before {} after {}", delta.nodes_before, delta.nodes_after);
+        assert!(
+            delta.nodes_saved() >= 1,
+            "before {} after {}",
+            delta.nodes_before,
+            delta.nodes_after
+        );
         assert_eq!(rw.stats(), delta);
     }
 

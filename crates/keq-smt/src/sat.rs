@@ -543,11 +543,8 @@ impl SatSolver {
             cref = self.reason[pv].expect("non-decision literal has a reason");
         }
         // Recursive minimization: drop literals implied by the rest.
-        let keep: Vec<Lit> = learnt[1..]
-            .iter()
-            .copied()
-            .filter(|&l| !self.literal_redundant(l))
-            .collect();
+        let keep: Vec<Lit> =
+            learnt[1..].iter().copied().filter(|&l| !self.literal_redundant(l)).collect();
         for &l in &learnt[1..] {
             self.seen[l.var().0 as usize] = false;
         }
@@ -566,8 +563,7 @@ impl SatSolver {
             out.swap(1, max_i);
             self.level[out[1].var().0 as usize]
         };
-        let mut levels: Vec<u32> =
-            out.iter().map(|l| self.level[l.var().0 as usize]).collect();
+        let mut levels: Vec<u32> = out.iter().map(|l| self.level[l.var().0 as usize]).collect();
         levels.sort_unstable();
         levels.dedup();
         let lbd = levels.len() as u32;
@@ -660,11 +656,9 @@ impl SatSolver {
         // unconditionally: they bridge exactly two decision levels and are
         // the clauses most likely to propagate again; among the rest the
         // tie-break stays activity, as before.
-        self.lbd_kept += self
-            .clauses
-            .iter()
-            .filter(|c| c.learnt && c.lits.len() > 2 && c.lbd <= 2)
-            .count() as u64;
+        self.lbd_kept +=
+            self.clauses.iter().filter(|c| c.learnt && c.lits.len() > 2 && c.lbd <= 2).count()
+                as u64;
         let mut learnt: Vec<(f64, ClauseRef)> = self
             .clauses
             .iter()
@@ -874,11 +868,7 @@ impl SatSolver {
                 }
                 match self.pick_branch() {
                     None => {
-                        let model = self
-                            .values
-                            .iter()
-                            .map(|v| *v == LBool::True)
-                            .collect();
+                        let model = self.values.iter().map(|v| *v == LBool::True).collect();
                         self.backtrack(0);
                         return SatOutcome::Sat(model);
                     }
@@ -1187,16 +1177,10 @@ mod tests {
                 }
             }
         }
-        assert_eq!(
-            s.solve_under_assumptions(&[Lit::pos(g)], None, None, None),
-            SatOutcome::Unsat
-        );
+        assert_eq!(s.solve_under_assumptions(&[Lit::pos(g)], None, None, None), SatOutcome::Unsat);
         assert!(matches!(s.solve(None), SatOutcome::Sat(_)));
         // Learnt clauses from the unsat call are retained for later calls.
-        assert_eq!(
-            s.solve_under_assumptions(&[Lit::pos(g)], None, None, None),
-            SatOutcome::Unsat
-        );
+        assert_eq!(s.solve_under_assumptions(&[Lit::pos(g)], None, None, None), SatOutcome::Unsat);
     }
 
     #[test]
@@ -1221,20 +1205,14 @@ mod tests {
                 }
             }
         }
-        assert_eq!(
-            s.solve_under_assumptions(&[Lit::pos(g)], None, None, None),
-            SatOutcome::Unsat
-        );
+        assert_eq!(s.solve_under_assumptions(&[Lit::pos(g)], None, None, None), SatOutcome::Unsat);
         let learnt_after_first = s.learnt_clauses();
         let conflicts_first = s.conflicts();
         assert!(conflicts_first > 100, "instance should be nontrivial");
         assert!(learnt_after_first > 0, "learnt clauses must be retained");
         // The second identical call reuses the learnt clauses; it must not
         // need more conflicts than the first call took from scratch.
-        assert_eq!(
-            s.solve_under_assumptions(&[Lit::pos(g)], None, None, None),
-            SatOutcome::Unsat
-        );
+        assert_eq!(s.solve_under_assumptions(&[Lit::pos(g)], None, None, None), SatOutcome::Unsat);
         let conflicts_second = s.conflicts() - conflicts_first;
         assert!(
             conflicts_second <= conflicts_first,

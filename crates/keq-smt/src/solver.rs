@@ -46,11 +46,7 @@ impl Default for Budget {
 impl Budget {
     /// A tight budget for tests and corpus sweeps.
     pub fn tight() -> Self {
-        Budget {
-            max_conflicts: 50_000,
-            max_terms: 400_000,
-            max_time: Some(Duration::from_secs(5)),
-        }
+        Budget { max_conflicts: 50_000, max_terms: 400_000, max_time: Some(Duration::from_secs(5)) }
     }
 }
 
@@ -161,11 +157,9 @@ impl QueryKey {
 
 fn approx_outcome_bytes(outcome: &CheckOutcome) -> usize {
     match outcome {
-        CheckOutcome::Sat(m) => m
-            .entries
-            .iter()
-            .map(|(n, _)| n.len() + std::mem::size_of::<(String, Value)>())
-            .sum(),
+        CheckOutcome::Sat(m) => {
+            m.entries.iter().map(|(n, _)| n.len() + std::mem::size_of::<(String, Value)>()).sum()
+        }
         CheckOutcome::Unsat | CheckOutcome::Budget(_) => 0,
     }
 }
@@ -222,9 +216,8 @@ impl QueryCache {
         {
             let victim = self.order.pop_front().expect("nonempty");
             if let Some(out) = self.map.remove(&victim) {
-                self.bytes = self
-                    .bytes
-                    .saturating_sub(victim.approx_bytes() + approx_outcome_bytes(&out));
+                self.bytes =
+                    self.bytes.saturating_sub(victim.approx_bytes() + approx_outcome_bytes(&out));
                 *evictions += 1;
             }
         }
@@ -474,7 +467,13 @@ impl Solver {
         if let Some(hit) = self.cache.get(&key) {
             self.stats.cache_hits += 1;
             let outcome = hit.clone();
-            trace_query("scratch", &outcome, true, start.elapsed(), &self.stats.since(&stats_before));
+            trace_query(
+                "scratch",
+                &outcome,
+                true,
+                start.elapsed(),
+                &self.stats.since(&stats_before),
+            );
             return outcome;
         }
         // Shared obligation cache: consulted only on a local miss and
@@ -485,11 +484,7 @@ impl Solver {
             let outcome = match verdict {
                 CachedVerdict::Unsat => {
                     // Model-free by nature: safe to memoize locally too.
-                    self.cache.insert(
-                        key,
-                        CheckOutcome::Unsat,
-                        &mut self.stats.cache_evictions,
-                    );
+                    self.cache.insert(key, CheckOutcome::Unsat, &mut self.stats.cache_evictions);
                     self.stats.unsat += 1;
                     CheckOutcome::Unsat
                 }
@@ -502,7 +497,13 @@ impl Solver {
                 }
             };
             self.stats.time += start.elapsed();
-            trace_query("scratch", &outcome, true, start.elapsed(), &self.stats.since(&stats_before));
+            trace_query(
+                "scratch",
+                &outcome,
+                true,
+                start.elapsed(),
+                &self.stats.since(&stats_before),
+            );
             return outcome;
         }
         let outcome = self.check_sat_inner(bank, assertions);
@@ -564,11 +565,8 @@ impl Solver {
         let bool_vars = blast.bool_vars().clone();
         let deadline = self.budget.max_time.map(|d| Instant::now() + d);
         let cdcl_span = keq_trace::span(keq_trace::Phase::Cdcl);
-        let sat_outcome = sat.solve_with_limits(
-            Some(self.budget.max_conflicts),
-            deadline,
-            self.cancel.as_ref(),
-        );
+        let sat_outcome =
+            sat.solve_with_limits(Some(self.budget.max_conflicts), deadline, self.cancel.as_ref());
         cdcl_span.done();
         self.stats.conflicts += sat.conflicts();
         self.stats.restarts += sat.restarts();
@@ -611,12 +609,11 @@ impl Solver {
         hyps: &[TermId],
         goal: TermId,
     ) -> ProofOutcome {
-        let mut refute =
-            |bank: &mut TermBank, solver: &mut Self, assertions: &[TermId]| {
-                // Refutation probes only ask "unsat?": a cached model-free
-                // `Sat` answer is as good as a computed one.
-                matches!(solver.check_sat_opts(bank, assertions, false), CheckOutcome::Unsat)
-            };
+        let mut refute = |bank: &mut TermBank, solver: &mut Self, assertions: &[TermId]| {
+            // Refutation probes only ask "unsat?": a cached model-free
+            // `Sat` answer is as good as a computed one.
+            matches!(solver.check_sat_opts(bank, assertions, false), CheckOutcome::Unsat)
+        };
         if prove_eq_by_congruence(bank, self, hyps, goal, 4, &mut refute) {
             return ProofOutcome::Proved;
         }
@@ -936,9 +933,7 @@ impl<'s> Session<'s> {
         }
         let outcome = self.check_sat_inner(bank, delta);
         if !matches!(outcome, CheckOutcome::Budget(_)) {
-            self.solver
-                .cache
-                .insert(key, outcome.clone(), &mut self.solver.stats.cache_evictions);
+            self.solver.cache.insert(key, outcome.clone(), &mut self.solver.stats.cache_evictions);
         }
         self.solver.shared_store(fp, &outcome);
         match &outcome {
@@ -980,10 +975,7 @@ impl<'s> Session<'s> {
         }
         let lowered = {
             let _s = keq_trace::span(keq_trace::Phase::Lower);
-            match self
-                .lowerer
-                .lower_incremental(bank, &live, self.solver.budget.max_terms)
-            {
+            match self.lowerer.lower_incremental(bank, &live, self.solver.budget.max_terms) {
                 Ok(l) => l,
                 Err(_) => return CheckOutcome::Budget(BudgetKind::Terms),
             }
@@ -1419,9 +1411,7 @@ mod tests {
         let sign_i = bank.mk_bvslt(i, zero);
         let sign_n = bank.mk_bvslt(n, zero);
         let same_sign = bank.mk_eq(sign_i, sign_n);
-        assert!(solver()
-            .prove_equiv(&mut bank, &[same_sign], lt, diff_neg)
-            .is_proved());
+        assert!(solver().prove_equiv(&mut bank, &[same_sign], lt, diff_neg).is_proved());
     }
 
     #[test]
@@ -1477,9 +1467,7 @@ mod tests {
         let phi1 = bank.mk_bvult(x, five);
         let phi2 = bank.mk_bvult(x, ten);
         let sibling = bank.mk_not(phi2);
-        assert!(solver()
-            .prove_implies_positive(&mut bank, &[phi1], &[sibling])
-            .is_proved());
+        assert!(solver().prove_implies_positive(&mut bank, &[phi1], &[sibling]).is_proved());
     }
 
     #[test]
@@ -1495,7 +1483,8 @@ mod tests {
         let one = bank.mk_bv(28, 1);
         let x_big = bank.mk_bvult(one, x);
         let y_big = bank.mk_bvult(one, y);
-        let mut s = Solver::with_budget(Budget { max_conflicts: 5, max_terms: 1_000_000, max_time: None });
+        let mut s =
+            Solver::with_budget(Budget { max_conflicts: 5, max_terms: 1_000_000, max_time: None });
         match s.check_sat(&mut bank, &[eq, x_big, y_big]) {
             CheckOutcome::Budget(BudgetKind::Conflicts) => {}
             CheckOutcome::Sat(_) => {} // found fast — acceptable on some orderings
@@ -1652,11 +1641,8 @@ mod tests {
         let one = bank.mk_bv(28, 1);
         let x_big = bank.mk_bvult(one, x);
         let y_big = bank.mk_bvult(one, y);
-        let mut s = Solver::with_budget(Budget {
-            max_conflicts: 5,
-            max_terms: 1_000_000,
-            max_time: None,
-        });
+        let mut s =
+            Solver::with_budget(Budget { max_conflicts: 5, max_terms: 1_000_000, max_time: None });
         let mut session = s.open_session(&mut bank, &[x_big, y_big]);
         let first = session.check_sat(&mut bank, &[eq]);
         drop(session);

@@ -94,10 +94,7 @@ pub struct PassSection {
 
 impl PassSection {
     fn to_json(&self) -> Json {
-        json::obj(vec![
-            ("pass", Json::Str(self.pass.clone())),
-            ("outcome", self.outcome.to_json()),
-        ])
+        json::obj(vec![("pass", Json::Str(self.pass.clone())), ("outcome", self.outcome.to_json())])
     }
 }
 
@@ -376,10 +373,7 @@ impl AttemptReport {
             ("abandoned", Json::Bool(self.abandoned)),
             ("panic_message", json::opt_str(&self.panic_message)),
             ("panic_location", json::opt_str(&self.panic_location)),
-            (
-                "faults",
-                Json::Arr(self.faults.iter().map(|f| Json::Str(f.clone())).collect()),
-            ),
+            ("faults", Json::Arr(self.faults.iter().map(|f| Json::Str(f.clone())).collect())),
             (
                 "phase_us",
                 Json::Obj(
@@ -482,10 +476,7 @@ impl RunReport {
             ("server", self.server.to_json()),
             ("telemetry", self.telemetry.to_json()),
             ("phases", Json::Arr(self.phases.iter().map(PhaseSummary::to_json).collect())),
-            (
-                "functions",
-                Json::Arr(self.functions.iter().map(FunctionReport::to_json).collect()),
-            ),
+            ("functions", Json::Arr(self.functions.iter().map(FunctionReport::to_json).collect())),
             ("events_recorded", json::num(self.events_recorded)),
             ("events_dropped", json::num(self.events_dropped)),
         ]);
@@ -607,8 +598,8 @@ pub fn validate(doc: &Json) -> Result<(), Vec<Violation>> {
                     require_str(p, &path, "pass", &mut v);
                     if let Some(outcome) = require(p, &path, "outcome", &mut v) {
                         let path = format!("{path}.outcome");
-                        pass_total += validate_outcome_table(outcome, &path, &mut v)
-                            .map_or(0, |t| t.total);
+                        pass_total +=
+                            validate_outcome_table(outcome, &path, &mut v).map_or(0, |t| t.total);
                     }
                 }
                 // Per-pass tables must partition the merged one.
@@ -665,9 +656,9 @@ pub fn validate(doc: &Json) -> Result<(), Vec<Violation>> {
                             (Some(_), Some(_)) => v.push(format!(
                                 "{path}.histogram: counts must have bounds_us+1 entries"
                             )),
-                            _ => v.push(format!(
-                                "{path}.histogram: missing bounds_us/counts arrays"
-                            )),
+                            _ => {
+                                v.push(format!("{path}.histogram: missing bounds_us/counts arrays"))
+                            }
                         }
                     }
                 }
@@ -680,9 +671,7 @@ pub fn validate(doc: &Json) -> Result<(), Vec<Violation>> {
     }
 
     if let Some(server) = require(doc, "$", "server", &mut v) {
-        if require(server, "$.server", "enabled", &mut v)
-            .is_some_and(|d| d.as_bool().is_none())
-        {
+        if require(server, "$.server", "enabled", &mut v).is_some_and(|d| d.as_bool().is_none()) {
             v.push("$.server.enabled: expected a boolean".into());
         }
         let mut counters = RequestCounters::default();
@@ -804,7 +793,9 @@ fn validate_function(f: &Json, i: usize, v: &mut Vec<Violation>) {
         require(a, &apath, "phase_us", v);
         if let Some(n) = n {
             if n <= prev_attempt {
-                v.push(format!("{apath}: attempt numbers must increase (got {n} after {prev_attempt})"));
+                v.push(format!(
+                    "{apath}: attempt numbers must increase (got {n} after {prev_attempt})"
+                ));
             }
             prev_attempt = n;
         }
@@ -851,9 +842,8 @@ pub fn check_phase_coverage(
         let name = f.get("name").and_then(Json::as_str).unwrap_or("?");
         let wall = f.get("wall_us").and_then(Json::as_u64).unwrap_or(0);
         let attempts = f.get("attempts").and_then(Json::as_arr).unwrap_or(&[]);
-        let abandoned = attempts
-            .iter()
-            .any(|a| a.get("abandoned").and_then(Json::as_bool).unwrap_or(false));
+        let abandoned =
+            attempts.iter().any(|a| a.get("abandoned").and_then(Json::as_bool).unwrap_or(false));
         // Recovered rows carry journal-recorded wall time but no observed
         // attempts (their spans happened in the killed run), so they have
         // nothing to account for.
@@ -1128,10 +1118,7 @@ mod tests {
             }
         }
         let errs = validate(&doc).expect_err("must fail");
-        assert!(
-            errs.iter().any(|e| e.contains("disagree with obligations")),
-            "{errs:?}"
-        );
+        assert!(errs.iter().any(|e| e.contains("disagree with obligations")), "{errs:?}");
     }
 
     #[test]
@@ -1210,7 +1197,10 @@ mod tests {
         report.server = ServerSection::default();
         let doc = Json::parse(&report.to_json()).expect("parses");
         validate(&doc).expect("all-zero server section validates");
-        assert_eq!(doc.get("server").and_then(|s| s.get("enabled")).and_then(Json::as_bool), Some(false));
+        assert_eq!(
+            doc.get("server").and_then(|s| s.get("enabled")).and_then(Json::as_bool),
+            Some(false)
+        );
     }
 
     #[test]
@@ -1232,10 +1222,7 @@ mod tests {
         report.telemetry.slow.push(second);
         let doc = Json::parse(&report.to_json()).expect("parses");
         let errs = validate(&doc).expect_err("must fail");
-        assert!(
-            errs.iter().any(|e| e.contains("sorted by descending wall_us")),
-            "{errs:?}"
-        );
+        assert!(errs.iter().any(|e| e.contains("sorted by descending wall_us")), "{errs:?}");
     }
 
     #[test]

@@ -13,9 +13,7 @@ use keq_trace::{
 /// Field `i` of the table holds `base + 7 i`: distinct per field, and
 /// distinct between the two operands of `merge`.
 fn distinct(base: u64) -> SolverStats {
-    let values: Vec<u64> = (0..SolverStats::FIELDS.len() as u64)
-        .map(|i| base + 7 * i)
-        .collect();
+    let values: Vec<u64> = (0..SolverStats::FIELDS.len() as u64).map(|i| base + 7 * i).collect();
     let s = SolverStats::from_wire_values(&values);
     assert_eq!(s.wire_values(), values, "every field holds its own value");
     s
@@ -47,19 +45,11 @@ fn every_solver_field_survives_merge_since_json_and_validate() {
 
     let mut sum = a;
     sum.merge(&b);
-    let expect: Vec<u64> = a
-        .wire_values()
-        .iter()
-        .zip(b.wire_values())
-        .map(|(x, y)| x + y)
-        .collect();
+    let expect: Vec<u64> =
+        a.wire_values().iter().zip(b.wire_values()).map(|(x, y)| x + y).collect();
     assert_eq!(sum.wire_values(), expect, "merge adds every field");
     assert_eq!(sum.since(&a), b, "since recovers every field");
-    assert_eq!(
-        a.since(&sum),
-        SolverStats::default(),
-        "since saturates at zero"
-    );
+    assert_eq!(a.since(&sum), SolverStats::default(), "since saturates at zero");
 
     // Through RUN_REPORT.json: each keyed field lands in its section, and
     // the report's readers recover all of them.
@@ -67,24 +57,12 @@ fn every_solver_field_survives_merge_since_json_and_validate() {
     validate(&doc).expect("report validates");
     let mut back = SolverStats::from_json(doc.get("solver").expect("solver")).expect("object");
     let cache = doc.get("cache").expect("cache section");
-    assert!(
-        back.read_section("cache", cache),
-        "every cache-section key present"
-    );
+    assert!(back.read_section("cache", cache), "every cache-section key present");
     assert_eq!(back, a, "to_json → from_json round-trips every field");
     for (f, v) in SolverStats::FIELDS.iter().zip(a.wire_values()) {
-        let key = f
-            .key
-            .unwrap_or_else(|| panic!("{} has no wire key", f.name));
-        let section = if f.section.is_empty() {
-            "solver"
-        } else {
-            f.section
-        };
-        let got = doc
-            .get(section)
-            .and_then(|s| s.get(key))
-            .and_then(Json::as_u64);
+        let key = f.key.unwrap_or_else(|| panic!("{} has no wire key", f.name));
+        let section = if f.section.is_empty() { "solver" } else { f.section };
+        let got = doc.get(section).and_then(|s| s.get(key)).and_then(Json::as_u64);
         assert_eq!(got, Some(v), "{} is written as {section}.{key}", f.name);
 
         // validate() notices when that key goes missing.
@@ -96,43 +74,27 @@ fn every_solver_field_survives_merge_since_json_and_validate() {
         }
         let errs = validate(&broken).expect_err("a missing solver key must fail validation");
         assert!(
-            errs.iter()
-                .any(|e| e.contains(&format!("missing key \"{key}\""))),
+            errs.iter().any(|e| e.contains(&format!("missing key \"{key}\""))),
             "{}: {errs:?}",
             f.name
         );
     }
     let obligations = cache.get("obligations").and_then(Json::as_u64);
-    assert_eq!(
-        obligations,
-        Some(a.obligation_cache_hits + a.obligation_cache_misses)
-    );
+    assert_eq!(obligations, Some(a.obligation_cache_hits + a.obligation_cache_misses));
 }
 
 #[test]
 fn wire_keys_and_prometheus_names_are_unique() {
     let mut keys = HashSet::new();
     for f in SolverStats::FIELDS {
-        assert!(
-            keys.insert((f.section, f.key)),
-            "duplicate wire key {:?}",
-            f.key
-        );
+        assert!(keys.insert((f.section, f.key)), "duplicate wire key {:?}", f.key);
     }
     let mut names = HashSet::new();
     for id in CounterId::ALL {
-        assert!(
-            id.name().ends_with("_total"),
-            "counter {} must end in _total",
-            id.name()
-        );
+        assert!(id.name().ends_with("_total"), "counter {} must end in _total", id.name());
         assert!(names.insert(id.name()), "duplicate name {}", id.name());
     }
-    for name in GaugeId::ALL
-        .map(GaugeId::name)
-        .into_iter()
-        .chain(HistId::ALL.map(HistId::name))
-    {
+    for name in GaugeId::ALL.map(GaugeId::name).into_iter().chain(HistId::ALL.map(HistId::name)) {
         assert!(!name.ends_with("_total"), "{name} is not a counter");
         assert!(names.insert(name), "duplicate name {name}");
     }

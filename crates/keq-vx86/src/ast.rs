@@ -88,9 +88,7 @@ impl PhysReg {
     /// Parses any view name back to `(reg, width)`.
     pub fn parse(name: &str) -> Option<(PhysReg, u32)> {
         use PhysReg::*;
-        let all = [
-            Rax, Rbx, Rcx, Rdx, Rsi, Rdi, Rbp, Rsp, R8, R9, R10, R11, R12, R13, R14, R15,
-        ];
+        let all = [Rax, Rbx, Rcx, Rdx, Rsi, Rdi, Rbp, Rsp, R8, R9, R10, R11, R12, R13, R14, R15];
         for r in all {
             for w in [64, 32, 16, 8] {
                 if r.view_name(w) == name {

@@ -159,8 +159,7 @@ pub fn run_vx_function(
         let mut body_start = 0;
         for (i, instr) in block.instrs.iter().enumerate() {
             if let VxInstr::Phi { dst, incomings } = instr {
-                let p = prev
-                    .ok_or_else(|| VxTrap::Malformed("PHI in entry block".into()))?;
+                let p = prev.ok_or_else(|| VxTrap::Malformed("PHI in entry block".into()))?;
                 let (src, _) = incomings
                     .iter()
                     .find(|(_, bb)| bb == p)
@@ -196,9 +195,8 @@ pub fn run_vx_function(
             VxTerm::CondJmp { cc, then_, else_ } => {
                 let t = if st.cond(*cc) { then_ } else { else_ };
                 prev = Some(&block.name);
-                block = func
-                    .block(t)
-                    .ok_or_else(|| VxTrap::Malformed(format!("unknown block {t}")))?;
+                block =
+                    func.block(t).ok_or_else(|| VxTrap::Malformed(format!("unknown block {t}")))?;
                 continue 'blocks;
             }
             VxTerm::Ud2 => return Err(VxTrap::Ud2),
@@ -211,11 +209,7 @@ pub fn run_vx_function(
     }
 }
 
-fn addr_of(
-    addr: &Addr,
-    st: &VxState,
-    globals: &BTreeMap<String, u64>,
-) -> Result<u64, VxTrap> {
+fn addr_of(addr: &Addr, st: &VxState, globals: &BTreeMap<String, u64>) -> Result<u64, VxTrap> {
     let mut a: u64 = if let Some(g) = &addr.global {
         globals
             .get(g)
@@ -235,10 +229,8 @@ fn addr_of(
 }
 
 fn check_bounds(layout: &MemLayout, addr: u64, n: u64) -> Result<(), VxTrap> {
-    let ok = layout
-        .regions
-        .iter()
-        .any(|r| r.size >= n && addr >= r.base && addr <= r.base + r.size - n);
+    let ok =
+        layout.regions.iter().any(|r| r.size >= n && addr >= r.base && addr <= r.base + r.size - n);
     if ok {
         Ok(())
     } else {
@@ -346,18 +338,15 @@ fn exec(
             let r = st.read_ri(*rhs, w)?;
             let res = mask(w, l.wrapping_sub(r));
             st.cf = l < r;
-            st.of = to_signed(w, l)
-                .checked_sub(to_signed(w, r))
-                .is_none_or(|s| s != to_signed(w, res));
+            st.of =
+                to_signed(w, l).checked_sub(to_signed(w, r)).is_none_or(|s| s != to_signed(w, res));
             st.set_zs(w, res);
         }
         VxInstr::Inc { dst, src } => {
             let w = dst.width();
             let v = st.read(*src)?;
             let res = mask(w, v.wrapping_add(1));
-            st.of = to_signed(w, v)
-                .checked_add(1)
-                .is_none_or(|s| s != to_signed(w, res));
+            st.of = to_signed(w, v).checked_add(1).is_none_or(|s| s != to_signed(w, res));
             st.set_zs(w, res);
             // cf preserved.
             st.write(*dst, res)?;

@@ -14,8 +14,6 @@ pub mod interp;
 pub mod printer;
 pub mod sem;
 
-pub use ast::{
-    Addr, AluOp, Cond, PhysReg, Reg, RegImm, VxBlock, VxFunction, VxInstr, VxTerm,
-};
+pub use ast::{Addr, AluOp, Cond, PhysReg, Reg, RegImm, VxBlock, VxFunction, VxInstr, VxTerm};
 pub use interp::{run_vx_function, VxState, VxTrap};
 pub use sem::{init_flags, reg_key, VxSemantics};

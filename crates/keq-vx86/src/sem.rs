@@ -153,9 +153,11 @@ impl<'f> VxSemantics<'f> {
         addr: &Addr,
     ) -> Result<TermId, SemanticsError> {
         let mut t = if let Some(g) = &addr.global {
-            let base = self.globals.get(g).copied().ok_or_else(|| {
-                SemanticsError::UnknownRegister { name: format!("@{g}") }
-            })?;
+            let base = self
+                .globals
+                .get(g)
+                .copied()
+                .ok_or_else(|| SemanticsError::UnknownRegister { name: format!("@{g}") })?;
             bank.mk_bv(64, u128::from(base.wrapping_add(addr.disp as u64)))
         } else {
             bank.mk_bv(64, addr.disp as u64 as u128)
@@ -215,13 +217,7 @@ impl<'f> VxSemantics<'f> {
     }
 
     /// Sets `zf`/`sf` from `res` and `cf`/`of` explicitly.
-    fn set_flags(
-        bank: &mut TermBank,
-        cfg: &mut SymConfig,
-        res: TermId,
-        cf: TermId,
-        of: TermId,
-    ) {
+    fn set_flags(bank: &mut TermBank, cfg: &mut SymConfig, res: TermId, cf: TermId, of: TermId) {
         let w = bank.width(res);
         let zero = bank.mk_bv(w, 0);
         let zf = bank.mk_eq(res, zero);
@@ -294,11 +290,7 @@ impl Language for VxSemantics<'_> {
         "vx86"
     }
 
-    fn step(
-        &self,
-        cfg: &SymConfig,
-        bank: &mut TermBank,
-    ) -> Result<Vec<SymConfig>, SemanticsError> {
+    fn step(&self, cfg: &SymConfig, bank: &mut TermBank) -> Result<Vec<SymConfig>, SemanticsError> {
         debug_assert!(cfg.status.is_running(), "step on non-running config");
         let block = self
             .func
@@ -522,12 +514,10 @@ impl VxSemantics<'_> {
                     let r = Reg::Phys(PhysReg::args()[i], w);
                     args.push(self.read_reg(bank, cfg, r)?);
                 }
-                let nth = *self
-                    .call_ordinals
-                    .get(&(block.name.clone(), cfg.loc.index))
-                    .ok_or_else(|| SemanticsError::Internal {
-                        what: "call without ordinal".into(),
-                    })?;
+                let nth =
+                    *self.call_ordinals.get(&(block.name.clone(), cfg.loc.index)).ok_or_else(
+                        || SemanticsError::Internal { what: "call without ordinal".into() },
+                    )?;
                 let mut stop = cfg.clone();
                 stop.status = Status::AtCall { callee: callee.clone(), nth, args };
                 succs.push(stop);

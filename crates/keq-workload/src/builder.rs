@@ -62,11 +62,7 @@ impl FnBuilder {
 
     /// Switches emission to `block`.
     pub fn switch_to(&mut self, block: &str) {
-        self.current = self
-            .blocks
-            .iter()
-            .position(|b| b.name == block)
-            .expect("block exists");
+        self.current = self.blocks.iter().position(|b| b.name == block).expect("block exists");
     }
 
     /// The name of the current block.
@@ -171,21 +167,10 @@ impl FnBuilder {
     ///
     /// Panics if a phi created by [`FnBuilder::begin_loop_phis`] cannot be
     /// found in `header`.
-    pub fn finish_loop_phis(
-        &mut self,
-        header: &str,
-        phis: &[(String, String)],
-        latch_block: &str,
-    ) {
-        let latch_values: Vec<(String, Operand)> = phis
-            .iter()
-            .map(|(slot, _)| (slot.clone(), self.slots[slot].clone()))
-            .collect();
-        let block = self
-            .blocks
-            .iter_mut()
-            .find(|b| b.name == header)
-            .expect("loop header exists");
+    pub fn finish_loop_phis(&mut self, header: &str, phis: &[(String, String)], latch_block: &str) {
+        let latch_values: Vec<(String, Operand)> =
+            phis.iter().map(|(slot, _)| (slot.clone(), self.slots[slot].clone())).collect();
+        let block = self.blocks.iter_mut().find(|b| b.name == header).expect("loop header exists");
         for ((_, dst), (_, latch_val)) in phis.iter().zip(latch_values) {
             let phi = block
                 .instrs
@@ -211,12 +196,7 @@ impl FnBuilder {
     /// deliberate `unreachable`s is fine — the generator never leaves
     /// dangling blocks).
     pub fn finish(self) -> Function {
-        Function {
-            name: self.name,
-            ret_ty: self.ret_ty,
-            params: self.params,
-            blocks: self.blocks,
-        }
+        Function { name: self.name, ret_ty: self.ret_ty, params: self.params, blocks: self.blocks }
     }
 }
 
@@ -227,11 +207,7 @@ mod tests {
 
     #[test]
     fn builds_a_diamond_with_phi() {
-        let mut b = FnBuilder::new(
-            "f",
-            Type::I32,
-            vec![("%x".into(), Type::I32)],
-        );
+        let mut b = FnBuilder::new("f", Type::I32, vec![("%x".into(), Type::I32)]);
         b.set_slot("v", Operand::local("%x"));
         let cond = b.fresh();
         b.push(Instr::Icmp {
@@ -276,11 +252,7 @@ mod tests {
         let join_block = f.block(&join).expect("exists");
         assert!(matches!(join_block.instrs[0], Instr::Phi { .. }));
         // It must actually run: v = x < 10 ? x + 1 : x.
-        let m = keq_llvm::ast::Module {
-            globals: vec![],
-            functions: vec![f],
-            declarations: vec![],
-        };
+        let m = keq_llvm::ast::Module { globals: vec![], functions: vec![f], declarations: vec![] };
         let f = &m.functions[0];
         let layout = keq_llvm::layout::Layout::of(&m, f);
         let mut mem = keq_smt::MemValue::default();

@@ -70,9 +70,7 @@ pub fn generate_corpus(cfg: GenConfig, n: usize) -> Module {
             Global { name: "g1".into(), ty: Type::I32, external: true, init: None },
         ],
         functions,
-        declarations: vec![
-            ("ext".into(), Type::I32, vec![Type::I32, Type::I32]),
-        ],
+        declarations: vec![("ext".into(), Type::I32, vec![Type::I32, Type::I32])],
     }
 }
 
@@ -85,8 +83,7 @@ pub fn generate_function(cfg: GenConfig, index: usize) -> keq_llvm::ast::Functio
     let tail: usize = if rng.random_ratio(1, 12) { rng.random_range(10..40) } else { 0 };
     let stmts = cfg.base_stmts + rng.random_range(0..4) + tail;
     let nparams = rng.random_range(2..=4usize);
-    let params: Vec<(String, Type)> =
-        (0..nparams).map(|i| (format!("%p{i}"), Type::I32)).collect();
+    let params: Vec<(String, Type)> = (0..nparams).map(|i| (format!("%p{i}"), Type::I32)).collect();
     let mut b = FnBuilder::new(format!("fn{index}"), Type::I32, params.clone());
     let mut g = Gen { cfg, rng, buf: None };
     // The stack buffer is allocated up front in the entry block so that
@@ -347,10 +344,7 @@ impl Gen {
             dst: p.clone(),
             base_ty: Type::Array(4, Box::new(Type::I32)),
             ptr: Operand::Local(buf),
-            indices: vec![
-                (Type::I64, Operand::Const(0)),
-                (Type::I64, Operand::Local(idx64)),
-            ],
+            indices: vec![(Type::I64, Operand::Const(0)), (Type::I64, Operand::Local(idx64))],
         });
         let val = b.slot(self.slot_name());
         b.push(Instr::Store { ty: Type::I32, val, ptr: Operand::Local(p.clone()) });
@@ -374,10 +368,7 @@ impl Gen {
                 value: Operand::Expr(Box::new(keq_llvm::ast::ConstExpr::Gep {
                     base_ty: Type::Array(16, Box::new(Type::I8)),
                     base: Operand::Global("g0".into()),
-                    indices: vec![
-                        (Type::I64, Operand::Const(0)),
-                        (Type::I64, Operand::Const(off)),
-                    ],
+                    indices: vec![(Type::I64, Operand::Const(0)), (Type::I64, Operand::Const(off))],
                 })),
                 to_ty: width.clone().ptr_to(),
             }));

@@ -9,7 +9,9 @@
 //! Run with: `cargo run --release --example cross_language`
 
 use keq_repro::core::{Keq, Verdict};
-use keq_repro::imp::{compile, imp_sync_points, Expr, ImpProgram, ImpSemantics, StackSemantics, Stmt};
+use keq_repro::imp::{
+    compile, imp_sync_points, Expr, ImpProgram, ImpSemantics, StackSemantics, Stmt,
+};
 use keq_repro::smt::TermBank;
 
 fn main() {
@@ -35,15 +37,18 @@ fn main() {
 
     let flat = keq_repro::imp::compile::flatten(&program);
     let stack_fn = compile(&program);
-    println!("IMP program flattened to {} ops; stack code has {} ops", flat.ops.len(), stack_fn.ops.len());
+    println!(
+        "IMP program flattened to {} ops; stack code has {} ops",
+        flat.ops.len(),
+        stack_fn.ops.len()
+    );
 
     // Differential sanity check first.
     let mut fuel = 100_000;
     let reference = program.eval(&[6], &mut fuel).expect("terminates");
     let mut fuel = 100_000;
-    let compiled =
-        keq_repro::imp::compile::run_stack(&stack_fn, &[("n".into(), 6)], &mut fuel)
-            .expect("terminates");
+    let compiled = keq_repro::imp::compile::run_stack(&stack_fn, &[("n".into(), 6)], &mut fuel)
+        .expect("terminates");
     println!("n = 6: IMP reference = {reference}, stack machine = {compiled}");
     assert_eq!(reference, compiled);
 

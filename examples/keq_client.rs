@@ -207,8 +207,7 @@ fn main() {
     match conn.roundtrip(&ClientRequest::Metrics).expect("metrics round trip") {
         ServerResponse::Metrics(m) => {
             let lookups = m.cache_hits + m.cache_misses;
-            let hit_ratio =
-                if lookups == 0 { 0.0 } else { m.cache_hits as f64 / lookups as f64 };
+            let hit_ratio = if lookups == 0 { 0.0 } else { m.cache_hits as f64 / lookups as f64 };
             println!(
                 "server wall p50 {}µs p90 {}µs p99 {}µs; obligation-cache hit ratio {:.2} \
                  ({} entries)",

@@ -157,13 +157,9 @@ fn waw_bug_flips_final_memory_bytes() {
     .expect("runs");
 
     let run_vx = |bug| {
-        let out = keq_repro::isel::select(
-            &m,
-            f,
-            &layout,
-            IselOptions { bug, ..IselOptions::default() },
-        )
-        .expect("selects");
+        let out =
+            keq_repro::isel::select(&m, f, &layout, IselOptions { bug, ..IselOptions::default() })
+                .expect("selects");
         let mut mem = keq_repro::smt::MemValue::default();
         keq_repro::vx86::run_vx_function(
             &out.func,

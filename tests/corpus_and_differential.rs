@@ -64,7 +64,8 @@ fn differential_execution_agrees_across_isel() {
                 .map(|(i, _)| CValue::new(32, trial * 17 + i as u128 * 3 + 1))
                 .collect();
             let mut lmem = MemValue::default();
-            let lres = run_function(&module, f, &layout, &args, &mut lmem, 200_000, &default_ext_call);
+            let lres =
+                run_function(&module, f, &layout, &args, &mut lmem, 200_000, &default_ext_call);
             let raw_args: Vec<u128> = args.iter().map(|a| a.bits).collect();
             let mut rmem = MemValue::default();
             let rres = run_vx_function(
@@ -86,11 +87,7 @@ fn differential_execution_agrees_across_isel() {
                         f.name,
                         out.func
                     );
-                    assert_eq!(
-                        lmem, rmem,
-                        "{}({raw_args:?}): final memories differ",
-                        f.name
-                    );
+                    assert_eq!(lmem, rmem, "{}({raw_args:?}): final memories differ", f.name);
                 }
                 // UB on the source side frees the target; kinds still align
                 // in this fragment.
@@ -123,8 +120,5 @@ define void @f() {
     let f = &m.functions[0];
     let layout = Layout::of(&m, f);
     let err = select(&m, f, &layout, IselOptions::default()).expect_err("unsupported");
-    assert!(
-        err.message.contains("wide load") || err.message.contains("not supported"),
-        "{err}"
-    );
+    assert!(err.message.contains("wide load") || err.message.contains("not supported"), "{err}");
 }
