@@ -4,10 +4,10 @@
 //! * **§3 ablation** — the positive-form path-condition query
 //!   (`φ₁ ∧ Ψ₂`) versus the naive negated query (`φ₁ ∧ ¬φ₂`);
 //! * solver scaling on arithmetic identities by bit width;
-//! * end-to-end validation latency of the running example;
-//! * **session prefix reuse** — a multi-obligation sync-point batch in
-//!   scratch mode versus session mode, with the bit-blast counters that
-//!   back the PR's ≥2× reuse acceptance bar.
+//! * end-to-end validation latency of the running example.
+//!
+//! Timing only: the solver's acceptance bars (session reuse,
+//! normalization, fingerprint overhead) live in the `keq_bench` driver.
 
 use std::time::{Duration, Instant};
 
@@ -103,171 +103,8 @@ fn bench_running_example() {
     });
 }
 
-/// One sync point, many obligations: scratch mode re-blasts the prefix
-/// per query, session mode blasts it once and adds each delta under an
-/// activation literal. The `terms_blasted` counter ratio is the PR's
-/// acceptance metric (session must blast ≥2× fewer nodes).
-fn bench_session_reuse() {
-    println!("--- session_prefix_reuse ---");
-    let obligations = 12usize;
-    let mut bank = TermBank::new();
-    let wl = keq_bench::sync_point_workload(&mut bank, 32, obligations);
-
-    let mut scratch = Solver::new();
-    let scratch_before = scratch.stats();
-    let scratch_start = Instant::now();
-    for (delta, expect_sat) in &wl.obligations {
-        let mut full = wl.prefix.clone();
-        full.extend_from_slice(delta);
-        let outcome = scratch.check_sat(&mut bank, &full);
-        assert_eq!(matches!(outcome, keq_smt::CheckOutcome::Sat(_)), *expect_sat);
-    }
-    let scratch_time = scratch_start.elapsed();
-    let scratch_stats = scratch.stats().since(&scratch_before);
-
-    let mut warm = Solver::new();
-    let warm_before = warm.stats();
-    let session_start = Instant::now();
-    let mut session = warm.open_session(&mut bank, &wl.prefix);
-    for (delta, expect_sat) in &wl.obligations {
-        let outcome = session.check_sat(&mut bank, delta);
-        assert_eq!(matches!(outcome, keq_smt::CheckOutcome::Sat(_)), *expect_sat);
-    }
-    drop(session);
-    let session_time = session_start.elapsed();
-    let session_stats = warm.stats().since(&warm_before);
-
-    println!(
-        "scratch/{obligations}-obligations {:>23}   blasted {:>6}",
-        format_duration(scratch_time),
-        scratch_stats.terms_blasted
-    );
-    println!(
-        "session/{obligations}-obligations {:>23}   blasted {:>6}  reused {:>6}  retained-clauses {:>6}",
-        format_duration(session_time),
-        session_stats.terms_blasted,
-        session_stats.terms_blast_reused,
-        session_stats.clauses_retained
-    );
-    assert!(
-        session_stats.terms_blasted * 2 <= scratch_stats.terms_blasted,
-        "session mode must bit-blast at least 2x fewer nodes \
-         (session {}, scratch {})",
-        session_stats.terms_blasted,
-        scratch_stats.terms_blasted
-    );
-}
-
-/// Cold-path cost of obligation fingerprinting: the same sync-point batch
-/// solved by a detached solver (no shared cache — fingerprinting skipped
-/// entirely) versus one attached to an empty shared cache (every query
-/// fingerprints, looks up, misses, and — for unsat verdicts — stores).
-/// The attached run's overhead over the detached run is the PR's ≤5%
-/// acceptance bar; it is asserted with headroom for timer noise since a
-/// micro-run's wall clock jitters more than the fingerprint pass costs.
-fn bench_fingerprint_overhead() {
-    println!("--- obligation_fingerprint_overhead ---");
-    let obligations = 12usize;
-    let iters = 8u32;
-
-    let run = |attach: bool| -> Duration {
-        let mut total = Duration::ZERO;
-        for i in 0..=iters {
-            let mut bank = TermBank::new();
-            let wl = keq_bench::sync_point_workload(&mut bank, 32, obligations);
-            let mut solver = Solver::new();
-            if attach {
-                let cache = std::sync::Arc::new(keq_smt::SharedObligationCache::new());
-                solver.set_obligation_cache(Some(cache));
-            }
-            let start = Instant::now();
-            for (delta, expect_sat) in &wl.obligations {
-                let mut full = wl.prefix.clone();
-                full.extend_from_slice(delta);
-                let outcome = solver.check_sat(&mut bank, &full);
-                assert_eq!(matches!(outcome, keq_smt::CheckOutcome::Sat(_)), *expect_sat);
-            }
-            // Iteration 0 is the warm-up, outside the timed total.
-            if i > 0 {
-                total += start.elapsed();
-            }
-        }
-        total / iters
-    };
-
-    let detached = run(false);
-    let attached = run(true);
-    let overhead = attached.as_secs_f64() / detached.as_secs_f64().max(1e-9) - 1.0;
-    println!("detached/{obligations}-obligations {:>21}", format_duration(detached));
-    println!(
-        "attached/{obligations}-obligations {:>21}   overhead {:>6.1}%",
-        format_duration(attached),
-        overhead * 100.0
-    );
-    assert!(
-        attached <= detached.mul_f64(1.05) + Duration::from_millis(5),
-        "cold fingerprinting must cost <=5% over a detached solver \
-         (detached {detached:?}, attached {attached:?})"
-    );
-}
-
-/// Obligation normalization: the same redundancy-heavy micro corpus solved
-/// with the saturating rewriter on (the default) and off. The rewriter-on
-/// leg must bit-blast ≥20% fewer term nodes — the PR's acceptance bar —
-/// without regressing wall time on this easy mass.
-fn bench_normalization() {
-    println!("--- obligation_normalization ---");
-    let obligations = 20usize;
-
-    let run = |rewrite: bool| -> (Duration, keq_smt::SolverStats) {
-        let mut bank = TermBank::new();
-        let wl = keq_bench::normalization_workload(&mut bank, 32, obligations, 0);
-        let mut solver = Solver::new();
-        solver.set_rewrite_enabled(rewrite);
-        let before = solver.stats();
-        let start = Instant::now();
-        for (delta, expect_sat) in &wl.obligations {
-            let mut full = wl.prefix.clone();
-            full.extend_from_slice(delta);
-            let outcome = solver.check_sat(&mut bank, &full);
-            assert_eq!(matches!(outcome, keq_smt::CheckOutcome::Sat(_)), *expect_sat);
-        }
-        (start.elapsed(), solver.stats().since(&before))
-    };
-
-    let (off_time, off_stats) = run(false);
-    let (on_time, on_stats) = run(true);
-    println!(
-        "rewrite-off/{obligations}-obligations {:>18}   blasted {:>6}",
-        format_duration(off_time),
-        off_stats.terms_blasted
-    );
-    println!(
-        "rewrite-on/{obligations}-obligations  {:>18}   blasted {:>6}  rules_fired {:>5}  nodes_saved {:>5}",
-        format_duration(on_time),
-        on_stats.terms_blasted,
-        on_stats.rewrite_rules_fired,
-        on_stats.rewrite_nodes_saved
-    );
-    assert!(
-        on_stats.terms_blasted * 100 <= off_stats.terms_blasted * 80,
-        "acceptance bar: normalization must cut blasted terms by >=20% \
-         (on {}, off {})",
-        on_stats.terms_blasted,
-        off_stats.terms_blasted
-    );
-    assert!(
-        on_time <= off_time.mul_f64(1.05) + Duration::from_millis(250),
-        "acceptance bar: normalization must not regress wall time \
-         (off {off_time:?}, on {on_time:?})"
-    );
-}
-
 fn main() {
     bench_positive_form();
     bench_solver_scaling();
     bench_running_example();
-    bench_session_reuse();
-    bench_fingerprint_overhead();
-    bench_normalization();
 }

@@ -1,114 +1,10 @@
 #!/usr/bin/env bash
-# Machine-readable PR benchmarks.
+# The acceptance bars: runs every keq_bench scenario and writes BENCH.json
+# (schema keq-bench/v1) at the repository root; exits nonzero on a missed
+# bar. See crates/keq-bench/src/scenarios.rs for the scenario table.
 #
-#   pr2  session prefix-reuse rates plus the Fig. 6 corpus timings,
-#        emitted as BENCH_PR2.json
-#        (crates/keq-bench/benches/bench_pr2.rs for schema and knobs)
-#   pr4  cold-vs-warm obligation-cache corpus runs, emitted as
-#        BENCH_PR4.json
-#        (crates/keq-bench/benches/bench_pr4.rs for schema and knobs)
-#   pr6  journaling overhead and kill/resume wall-time ratios, emitted
-#        as BENCH_PR6.json
-#        (crates/keq-bench/benches/bench_pr6.rs for schema and knobs)
-#   pr9  obligation-normalization blasted-term reduction and cold-run
-#        cross-function cache hit ratio, emitted as BENCH_PR9.json
-#        (crates/keq-bench/benches/bench_pr9.rs for schema and knobs)
-#   pr10 pass-pipeline throughput: spilling-regalloc TV over a
-#        high-pressure corpus and GVN TV over the default corpus,
-#        emitted as BENCH_PR10.json
-#        (crates/keq-bench/benches/bench_pr10.rs for schema and knobs)
-#   server  keq-server steady-state throughput, latency quantiles, and
-#        resident-cache hit ratio, emitted as BENCH_SERVER.json
-#        (crates/keq-bench/benches/bench_server.rs for schema and knobs)
-#
-# Usage:
-#   scripts/bench.sh                  # pr2, full-size run
-#   scripts/bench.sh --smoke          # pr2, CI-sized run
-#   scripts/bench.sh pr4 [--smoke]    # obligation-cache benchmark
-#   scripts/bench.sh pr6 [--smoke]    # crash-safety benchmark
-#   scripts/bench.sh pr9 [--smoke]    # rewrite-normalization benchmark
-#   scripts/bench.sh pr10 [--smoke]   # pass-pipeline (regalloc/gvn) benchmark
-#   scripts/bench.sh server [--smoke] # keq-server daemon benchmark
-#
-# Any KEQ_PR2_* / KEQ_PR4_* / KEQ_PR6_* / KEQ_PR9_* / KEQ_PR10_* /
-# KEQ_SRV_* variable
-# already in the environment wins over the smoke defaults, so a partial
-# override stays possible in either mode.
+#   scripts/bench.sh            # full size
+#   scripts/bench.sh --smoke    # CI size
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-target=pr2
-smoke=0
-for arg in "$@"; do
-    case "$arg" in
-        pr2|pr4|pr6|pr9|pr10|server) target="$arg" ;;
-        --smoke) smoke=1 ;;
-        *)
-            echo "usage: scripts/bench.sh [pr2|pr4|pr6|pr9|pr10|server] [--smoke]" >&2
-            exit 2
-            ;;
-    esac
-done
-
-case "$target" in
-    pr2)
-        if [[ "$smoke" == 1 ]]; then
-            export KEQ_PR2_N="${KEQ_PR2_N:-4}"
-            export KEQ_PR2_SECS="${KEQ_PR2_SECS:-5}"
-            export KEQ_PR2_OBLIGATIONS="${KEQ_PR2_OBLIGATIONS:-6}"
-        fi
-        # Cargo runs bench binaries from the package directory; anchor the
-        # output at the repository root unless the caller chose a path.
-        export KEQ_PR2_OUT="${KEQ_PR2_OUT:-$PWD/BENCH_PR2.json}"
-        echo "==> cargo bench -p keq-bench --bench bench_pr2"
-        cargo bench -p keq-bench --bench bench_pr2
-        echo "==> wrote ${KEQ_PR2_OUT}"
-        ;;
-    pr4)
-        if [[ "$smoke" == 1 ]]; then
-            export KEQ_PR4_N="${KEQ_PR4_N:-8}"
-        fi
-        export KEQ_PR4_OUT="${KEQ_PR4_OUT:-$PWD/BENCH_PR4.json}"
-        echo "==> cargo bench -p keq-bench --bench bench_pr4"
-        cargo bench -p keq-bench --bench bench_pr4
-        echo "==> wrote ${KEQ_PR4_OUT}"
-        ;;
-    pr6)
-        if [[ "$smoke" == 1 ]]; then
-            export KEQ_PR6_N="${KEQ_PR6_N:-12}"
-        fi
-        export KEQ_PR6_OUT="${KEQ_PR6_OUT:-$PWD/BENCH_PR6.json}"
-        echo "==> cargo bench -p keq-bench --bench bench_pr6"
-        cargo bench -p keq-bench --bench bench_pr6
-        echo "==> wrote ${KEQ_PR6_OUT}"
-        ;;
-    pr9)
-        if [[ "$smoke" == 1 ]]; then
-            export KEQ_PR9_N="${KEQ_PR9_N:-12}"
-        fi
-        export KEQ_PR9_OUT="${KEQ_PR9_OUT:-$PWD/BENCH_PR9.json}"
-        echo "==> cargo bench -p keq-bench --bench bench_pr9"
-        cargo bench -p keq-bench --bench bench_pr9
-        echo "==> wrote ${KEQ_PR9_OUT}"
-        ;;
-    pr10)
-        if [[ "$smoke" == 1 ]]; then
-            export KEQ_PR10_N="${KEQ_PR10_N:-6}"
-            export KEQ_PR10_SECS="${KEQ_PR10_SECS:-5}"
-        fi
-        export KEQ_PR10_OUT="${KEQ_PR10_OUT:-$PWD/BENCH_PR10.json}"
-        echo "==> cargo bench -p keq-bench --bench bench_pr10"
-        cargo bench -p keq-bench --bench bench_pr10
-        echo "==> wrote ${KEQ_PR10_OUT}"
-        ;;
-    server)
-        if [[ "$smoke" == 1 ]]; then
-            export KEQ_SRV_N="${KEQ_SRV_N:-8}"
-            export KEQ_SRV_ROUNDS="${KEQ_SRV_ROUNDS:-2}"
-        fi
-        export KEQ_SRV_OUT="${KEQ_SRV_OUT:-$PWD/BENCH_SERVER.json}"
-        echo "==> cargo bench -p keq-bench --bench bench_server"
-        cargo bench -p keq-bench --bench bench_server
-        echo "==> wrote ${KEQ_SRV_OUT}"
-        ;;
-esac
+cargo bench -p keq-bench --bench keq_bench -- "$@"

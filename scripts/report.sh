@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Traced corpus run producing the machine-readable RUN_REPORT.json
-# (schema keq-run-report/v2; see DESIGN.md §Observability), then
+# (schema keq-run-report/v7; see DESIGN.md §Observability), then
 # schema-checks it with the keq-trace validator.
 #
 # Usage:

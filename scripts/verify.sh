@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Offline verification: build, test, and lint the whole workspace.
+# Offline verification: build, test, format-check and lint the whole
+# workspace.
 # No network access required — the workspace has zero external
 # dependencies (see DESIGN.md §5).
 set -euo pipefail
@@ -16,6 +17,13 @@ cargo test -q --workspace
 # fails here.
 echo "==> cargo test --release --offline -q --manifest-path benchmark/Cargo.toml"
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+
+if cargo fmt --version >/dev/null 2>&1; then
+    echo "==> cargo fmt --all --check"
+    cargo fmt --all --check
+else
+    echo "==> rustfmt not installed; skipping format check"
+fi
 
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy --workspace --all-targets -- -D warnings"
